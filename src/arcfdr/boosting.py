@@ -203,36 +203,217 @@ def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: fl
     return total
 
 
+B_MAX = 1e6             # default upper limit of a boosting factor
+_TABLE_STEP = 0.25      # spacing of a BoostTable's grid in v = log u
+_POLISH_STEPS = 60      # bisection halves a 0.25-wide bracket to 1e-13 in 42
+_NEWTON_DONE = 1e-11    # |Newton step| in v: the point is that close to the root
+_BISECT_DONE = 1e-13    # bracket width in v at which bisection stops
+_RESIDUAL_MAX = 1e-6    # |E_null[T(bE)] - 1| allowed at a returned factor
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+class BoostTable:
+    """Null tail probabilities T_k(v) = P(bE >= 1/(k alpha gamma)) for k = 1..s
+    on a grid of v = log(alpha gamma b), with their Abel-weighted suffix sums.
+
+    T_k depends on b and on the weight only through v, so one table per
+    (s, delta) brackets the root of every target alpha*gamma_t, for every
+    cutoff variant and every lag k0.  Grid rows sit at multiples of the grid
+    step, so two tables agree wherever their ranges overlap.
+    """
+
+    def __init__(self, delta: float, s: int, v_lo: float, v_hi: float):
+        self.delta, self.s = delta, s
+        rows = np.arange(math.floor(v_lo / _TABLE_STEP),
+                         math.ceil(v_hi / _TABLE_STEP) + 1)
+        self.v = rows * _TABLE_STEP
+        logk = np.log(np.arange(1, s + 1, dtype=float))
+        self.tails = ndtr((logk + self.v[:, None]) / delta - delta / 2.0)
+        weighted = self.tails * _abel_weights(1, s, s)
+        # suffix[:, m-1] = sum_{k >= m} w_k T_k: the minus-type sum of every k0
+        self.suffix = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1]
+        self.pass_through = np.exp(self.v) * ndtr(
+            -delta / 2.0 - (logk[-1] + self.v) / delta)
+
+    def covers(self, delta: float, s: int, v_lo: float, v_hi: float) -> bool:
+        return (self.delta == delta and self.s == s
+                and self.v[0] <= v_lo and self.v[-1] >= v_hi)
+
+
+def _abel_weights(m: int, s: int, last: int) -> np.ndarray:
+    """Weights of T_k, k = m..s, in the Abel-summed bracket sum: 1/(k(k+1))
+    below s and 1/last at k = s."""
+    ks = np.arange(m, s + 1, dtype=float)
+    w = 1.0 / (ks * (ks + 1.0))
+    w[-1] = 1.0 / last
+    return w
+
+
+class BoostCurve:
+    """G(v) = alpha*gamma*E_null[T(bE)] at v = log(alpha*gamma*b), for one
+    (variant, s, k0, delta).
+
+    With u = alpha*gamma*b the tails are T_k = Phi((log k + v)/delta - delta/2),
+    free of t, and Abel summation turns the bracket sum of every cutoff
+    variant into G = sum_{k=m}^{s-1} T_k/(k(k+1)) + T_s/max(s, k0+1) with
+    m = min(k0+1, s) (k0 = 0 without a lag).  The Plus variants add the
+    pass-through term u * Phi(-delta/2 - (log s + v)/delta); PRDS is instead
+    G = max_k T_k/k.  Every G is nondecreasing in v, and the boosting factor
+    of weight gamma is the root of G(v) = alpha*gamma.
+    """
+
+    def __init__(self, delta: float, variant: TruncationVariant, s: int,
+                 lag_kstar: int | None = None):
+        if variant in (TruncationVariant.FULL, TruncationVariant.LOCAL):
+            raise ConfigError(f"no closed form for variant {variant.value}")
+        if s < 1:
+            raise ConfigError(f"{variant.value} needs a cutoff s >= 1")
+        local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
+        k0 = lag_kstar if local else 0
+        if k0 is None or k0 < 0:
+            raise ConfigError(f"{variant.value} needs lag_kstar >= 0")
+        if variant is TruncationVariant.LOCAL_PLUS and k0 + 1 > s:
+            raise ConfigError("local_plus needs s >= lag_kstar + 1")
+        self.delta, self.s = delta, s
+        self.prds = variant is TruncationVariant.PRDS
+        self.plus = variant in (TruncationVariant.PLUS, TruncationVariant.LOCAL_PLUS)
+        self.m = 1 if self.prds else min(k0 + 1, s)
+        self.logk = np.log(np.arange(self.m, s + 1, dtype=float))
+        if self.prds:
+            self.w = 1.0 / np.arange(1, s + 1, dtype=float)
+        else:
+            self.w = _abel_weights(self.m, s, max(s, k0 + 1))
+
+    def __call__(self, v: np.ndarray):
+        """G and dG/dv at each v (dG is None for PRDS, whose G is a max)."""
+        d = self.delta
+        z = (self.logk + v[:, None]) / d - d / 2.0
+        if self.prds:
+            return np.max(ndtr(z) * self.w, axis=1), None
+        # row sums, not a matrix product, so a target's G does not depend on
+        # which other targets share the batch
+        g = np.sum(ndtr(z) * self.w, axis=1)
+        dg = np.sum(np.exp(-0.5 * z * z) * self.w, axis=1) * (_INV_SQRT_2PI / d)
+        if self.plus:
+            a = -d / 2.0 - (self.logk[-1] + v) / d
+            u = np.exp(v)
+            pass_through = u * ndtr(a)
+            g = g + pass_through
+            dg = dg + pass_through - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / d)
+        return g, dg
+
+    def on_grid(self, table: BoostTable) -> np.ndarray:
+        """G at the table's rows (from its suffix sums), made nondecreasing."""
+        if self.prds:
+            col = np.max(table.tails * self.w, axis=1)
+        else:
+            col = (table.suffix[:, self.m - 1]
+                   + table.tails[:, -1] * (self.w[-1] - 1.0 / self.s))
+            if self.plus:
+                col = col + table.pass_through
+        return np.maximum.accumulate(col)
+
+
+def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
+                        alpha: float, gammas, s: int, lag_kstar: int | None = None,
+                        b_max: float = B_MAX, table: BoostTable | None = None) -> np.ndarray:
+    """Largest valid boosting factors b_t, E_null[T_t(b_t E)] = 1, for many
+    weights gamma_t of one (variant, s, k0, delta), solved together.
+
+    Each factor is the root of G(v) = alpha*gamma_t on the t-free curve of
+    BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable (built here
+    unless one covering the targets is passed in) brackets every root within
+    one grid step; a safeguarded Newton iteration in log G, or bisection for
+    PRDS, then polishes all pending targets at once.  b_t = 1 where
+    E_null[T_t(E)] >= 1 already.  Raises SolverError for a zero weight, for
+    no root in [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above
+    1e-6.
+    """
+    if b_max < 1.0:
+        raise ConfigError(f"b_max={b_max} is below 1")
+    curve = BoostCurve(model.delta, variant, s, lag_kstar)
+    y = alpha * np.atleast_1d(np.asarray(gammas, dtype=float))
+    if np.any(y <= 0.0):
+        raise SolverError("gamma = 0: truncation is identically 0, no root")
+    ly = np.log(y)
+    v_top = ly + math.log(b_max)
+    if table is None or not table.covers(model.delta, s, ly.min(), v_top.max()):
+        table = BoostTable(model.delta, s, ly.min(), v_top.max())
+
+    # bracket: the first grid row with G >= y, clipped to [log y, log(y b_max)]
+    col = curve.on_grid(table)
+    j = np.searchsorted(col, y)
+    if np.any(j == len(col)):
+        raise SolverError(f"no root in [1, {b_max}]")
+    hi = np.clip(table.v[j], ly, v_top)
+    clipped = table.v[j] > v_top
+    if np.any(clipped):
+        g_top, _ = curve(v_top[clipped])
+        if np.any(g_top < y[clipped]):
+            raise SolverError(f"no root in [1, {b_max}]")
+    below = table.v[np.maximum(j - 1, 0)]
+    first = (j == 0) | (below < ly)
+    lo = np.where(first, ly, below)
+    # start at log y where the root may sit at b = 1, so that one evaluation
+    # also settles E_null[T(E)] >= 1; elsewhere interpolate log G in the cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg_lo, lg_hi = np.log(col[np.maximum(j - 1, 0)]), np.log(col[j])
+        frac = (ly - lg_lo) / (lg_hi - lg_lo)
+    frac = np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5)
+    v = np.where(first, ly, lo + frac * (hi - lo))
+
+    # each factor is returned at the last point its G was evaluated, so the
+    # residual check below rests on that evaluation
+    v_out, g_out = np.empty(len(y)), np.empty(len(y))
+    at_one = np.zeros(len(y), dtype=bool)
+    pending = np.arange(len(y))
+    for step in range(_POLISH_STEPS):
+        vp, yp = v[pending], y[pending]
+        g, dg = curve(vp)
+        v_out[pending], g_out[pending] = vp, g
+        if step == 0:
+            at_one[pending] = first & (g >= yp)
+        up = g < yp
+        lo[pending] = lo_p = np.where(up, vp, lo[pending])
+        hi[pending] = hi_p = np.where(up, hi[pending], vp)
+        nxt = 0.5 * (lo_p + hi_p)
+        done = at_one[pending] | (hi_p - lo_p <= _BISECT_DONE)
+        if dg is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = vp + (ly[pending] - np.log(g)) * g / dg
+            ok = (newton >= lo_p) & (newton <= hi_p)
+            nxt = np.where(ok, newton, nxt)
+            done |= ok & (np.abs(newton - vp) <= _NEWTON_DONE)
+        v[pending] = nxt
+        pending = pending[~done]
+        if not len(pending):
+            break
+
+    b = np.exp(v_out - ly)
+    residual = np.where(at_one, 0.0, g_out / y - 1.0)
+    worst = int(np.argmax(np.abs(residual)))
+    if not abs(residual[worst]) <= _RESIDUAL_MAX:
+        raise SolverError(f"residual {residual[worst]:.3e} exceeds "
+                          f"{_RESIDUAL_MAX} at b={b[worst]}")
+    return b
+
+
 def solve_boost_factor(model: GaussianLRModel, spec: TruncationSpec,
-                       b_max: float = 1e6) -> float:
+                       b_max: float = B_MAX) -> float:
     """Largest valid boosting factor: the b >= 1 with E_null[T(b*E)] = 1.
 
-    The expectation is nondecreasing in b, so bisection applies; the upper
-    bracket is expanded geometrically up to b_max.
+    A one-target call of solve_boost_factors: 1 when E_null[T(E)] >= 1
+    already, SolverError for gamma = 0, for no root in [1, b_max] or for a
+    residual above 1e-6.
     """
     if spec.gamma == 0.0:
         raise SolverError("gamma = 0: truncation is identically 0, no root")
-    f = lambda b: expected_truncated_value(model, spec, b) - 1.0
-    if f(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while f(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > b_max:
-            raise SolverError(f"no root in [1, {b_max}]")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * max(1.0, lo):
-            break
-    b = 0.5 * (lo + hi)
-    if abs(f(b)) > 1e-6:
-        raise SolverError(f"residual {f(b):.3e} exceeds 1e-6 at b={b}")
-    return b
+    s = spec.cutoff_s
+    if not math.isfinite(s):
+        raise ConfigError(f"no closed form for variant {spec.variant.value} without a cutoff")
+    b = solve_boost_factors(model, spec.variant, spec.alpha, [spec.gamma], int(s),
+                            lag_kstar=spec.lag_kstar, b_max=b_max)
+    return float(b[0])
 
 
 class NonincreasingTransform:

@@ -150,11 +150,12 @@ class RejectionSet:
     time: int
 
     def __post_init__(self):
-        if any(i > self.time or i < 1 for i in self.indices):
+        indices = self.indices
+        if indices and (min(indices) < 1 or max(indices) > self.time):
             raise InputError("rejection set contains an index beyond its time")
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
+        return i in self.indices
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -15,11 +15,12 @@ import numpy as np
 from scipy.special import ndtr
 
 from .boosting import (
+    B_MAX,
+    BoostTable,
     GaussianLRModel,
-    TruncationSpec,
     TruncationVariant,
     _grid_index,
-    solve_boost_factor,
+    solve_boost_factors,
 )
 from .core import ConfigError, WeightSequence
 from .e_procedures import ELond, OnlineEBH
@@ -129,68 +130,42 @@ def _truncate_minus_stream(x, alpha, gammas, s, cap_k=None):
 
 
 def _boost_factors(cfg, variant, ts, lag_kstars=None, cache=None):
-    """Solve b_t for each index in ts, memoized on everything that matters."""
-    model = GaussianLRModel(cfg.mu_a)
-    out = np.empty(len(ts))
-    for j, t in enumerate(ts):
-        k0 = None if lag_kstars is None else int(lag_kstars[j])
-        key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, t, k0)
-        if cache is not None and key in cache:
-            out[j] = cache[key]
-            continue
-        gamma = cfg.q ** (t - 1) * (1.0 - cfg.q)
-        if variant is TruncationVariant.LOCAL_MINUS:
-            b = _fast_local_minus_boost(cfg.alpha * gamma, k0, cfg.mu_a, cfg.n)
-        else:
-            spec = TruncationSpec(variant, cfg.alpha, gamma, s=cfg.n, lag_kstar=k0)
-            b = solve_boost_factor(model, spec)
-        if cache is not None:
-            cache[key] = b
-        out[j] = b
-    return out
+    """b_t for each index in ts, memoized per (configuration, t, k0).
 
-
-_LOCAL_TERMS: dict = {}  # (k0, s) -> (log k array, Abel weights)
-
-
-def _fast_local_minus_boost(ag: float, k0: int, delta: float, s: int,
-                            b_max: float = 1e6) -> float:
-    """b solving E[local-minus T(b E)] = 1, via the substitution u = ag * b.
-
-    Abel summation turns the bracket sum into
-    H(u) = sum_{k=m}^{s-1} T_k(u) / (k (k+1)) + T_s(u) / s, with m = k0 + 1
-    and T_k(u) = P(bE >= 1/(k ag)) = 1 - Phi(delta/2 - log(k u) / delta),
-    so the root condition E[T(bE)] = 1 becomes H(u) = ag.  H is nondecreasing
-    with limit 1/m, matching solve_boost_factor to solver tolerance at a
-    fraction of the cost (one CDF array evaluation per iteration).
+    The misses of one lag k0 are solved in one batched call, on a bracket
+    table per (mu_a, alpha, q, n) that the cache keeps for later calls.
     """
-    from scipy.optimize import brentq
+    cache = {} if cache is None else cache
+    k0s = [None] * len(ts) if lag_kstars is None else [int(k) for k in lag_kstars]
+    keys = [(variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, int(t), k0)
+            for t, k0 in zip(ts, k0s)]
+    misses = {}  # k0 -> keys of the indices to solve
+    for key, k0 in zip(keys, k0s):
+        if key not in cache:
+            misses.setdefault(k0, []).append(key)
+    if misses:
+        model = GaussianLRModel(cfg.mu_a)
+        table = _boost_table(cfg, cache)
+        for k0, group in misses.items():
+            gammas = [cfg.q ** (t - 1) * (1.0 - cfg.q) for (*_, t, _) in group]
+            b = solve_boost_factors(model, variant, cfg.alpha, gammas, cfg.n,
+                                    lag_kstar=k0, table=table)
+            cache.update(zip(group, b.tolist()))
+    return np.array([cache[key] for key in keys])
 
-    m = min(k0 + 1, s)
-    key = (m, s)
-    if key not in _LOCAL_TERMS:
-        ks = np.arange(m, s + 1, dtype=float)
-        w = 1.0 / (ks[:-1] * (ks[:-1] + 1.0)) if s > m else np.empty(0)
-        w = np.concatenate([w, [1.0 / s]])
-        _LOCAL_TERMS[key] = (np.log(ks), w)
-    logk, w = _LOCAL_TERMS[key]
-    half = delta / 2.0
 
-    def H(u):
-        tails = 1.0 - ndtr(half - (logk + math.log(u)) / delta)
-        return float(tails @ w)
-
-    if k0 + 1 >= 1.0 / ag:
-        raise ConfigError("cap below the expectation target: no boosting root")
-    if H(ag) >= ag:
-        return 1.0
-    hi = 2.0 * ag
-    while H(hi) < ag:
-        hi *= 2.0
-        if hi > ag * b_max:
-            raise ConfigError(f"no boosting root in [1, {b_max}]")
-    u = brentq(lambda v: H(v) - ag, hi / 2.0, hi, xtol=1e-14, rtol=1e-13)
-    return u / ag
+def _boost_table(cfg, cache):
+    """The bracket table shared by every boosted run of cfg's weights: it
+    spans v = log(alpha gamma_t b) for every t <= n and b in [1, B_MAX], with
+    a margin at each end against rounding in the logs."""
+    key = ("boost-table", cfg.mu_a, cfg.alpha, cfg.q, cfg.n)
+    if key not in cache:
+        gamma_max = 1.0 - cfg.q
+        gamma_min = cfg.q ** (cfg.n - 1) * gamma_max
+        v_lo = math.log(cfg.alpha * gamma_min) - 1.0
+        v_hi = math.log(cfg.alpha * gamma_max * B_MAX) + 1.0
+        cache[key] = BoostTable(cfg.mu_a, cfg.n, v_lo, v_hi)
+    return cache[key]
 
 
 @dataclass
@@ -247,8 +222,7 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
             vals = _truncate_minus_stream(
                 b * trial.evalues[start:start + bsz], alpha,
                 gammas[start:start + bsz], n, cap_k=lags)
-            for v in vals:
-                proc.step(float(v))
+            proc.run(vals)
     elif name == "obh":
         proc = OnlineBH(weights, alpha).run(trial.pvalues)
     elif name == "lond":

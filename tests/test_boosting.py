@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcfdr.boosting import (
+    B_MAX,
     GaussianLRModel,
     NonincreasingTransform,
     SolverError,
@@ -15,6 +16,7 @@ from arcfdr.boosting import (
     expected_truncated_value,
     phi,
     solve_boost_factor,
+    solve_boost_factors,
     truncate,
 )
 from arcfdr.core import ConfigError, InputError
@@ -222,6 +224,88 @@ class TestSolver:
         b = solve_boost_factor(model, sp)
         assert b >= 1.0
         assert expected_truncated_value(model, sp, b) == pytest.approx(1.0, abs=1e-6)
+
+
+CLOSED_FORM = (TruncationVariant.PLUS, TruncationVariant.MINUS,
+               TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS,
+               TruncationVariant.TOAD, TruncationVariant.PRDS)
+
+
+@st.composite
+def boost_configs(draw):
+    variant = draw(st.sampled_from(CLOSED_FORM))
+    s = draw(st.integers(1, 300))
+    k0 = draw(st.integers(0, s - 1))
+    delta = draw(st.floats(0.2, 6.0))
+    alpha = draw(st.floats(0.01, 0.5))
+    gammas = draw(st.lists(st.floats(-6.0, -0.5).map(lambda x: 10.0 ** x),
+                           min_size=1, max_size=4))
+    return variant, s, k0, delta, alpha, gammas
+
+
+def boost_spec(variant, s, lag, alpha, gamma):
+    if variant is TruncationVariant.TOAD:
+        return TruncationSpec(variant, alpha, gamma, d=s)
+    return TruncationSpec(variant, alpha, gamma, s=s, lag_kstar=lag)
+
+
+class TestSolverProperties:
+    """Each factor checked against the closed form of expected_truncated_value."""
+
+    @given(boost_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_root_of_closed_form(self, config):
+        variant, s, k0, delta, alpha, gammas = config
+        local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
+        lag = k0 if local else None
+        model = GaussianLRModel(delta)
+        singles = []
+        for gamma in gammas:
+            sp = boost_spec(variant, s, lag, alpha, gamma)
+            try:
+                b = solve_boost_factor(model, sp)
+            except SolverError:
+                assert expected_truncated_value(model, sp, B_MAX) < 1.0
+                singles.append(None)
+                continue
+            singles.append(b)
+            assert b >= 1.0
+            if b == 1.0:
+                # no boosting: E_null[T(E)] >= 1, or a root within 1e-11 of 1
+                assert expected_truncated_value(model, sp, 1.0) >= 1.0 - 1e-6
+                continue
+            assert abs(expected_truncated_value(model, sp, b) - 1.0) <= 1e-6
+            assert expected_truncated_value(model, sp, b * (1.0 - 1e-6)) < 1.0
+        args = (model, variant, alpha, gammas, s, lag)
+        if None in singles:
+            with pytest.raises(SolverError):
+                solve_boost_factors(*args)
+        else:
+            np.testing.assert_array_equal(solve_boost_factors(*args), singles)
+
+    @pytest.mark.parametrize("variant", [TruncationVariant.FULL, TruncationVariant.LOCAL])
+    def test_no_closed_form(self, variant):
+        sp = spec(variant, lag_kstar=2) if variant is TruncationVariant.LOCAL else spec(variant)
+        with pytest.raises(ConfigError):
+            solve_boost_factor(GaussianLRModel(3.0), sp)
+        with pytest.raises(ConfigError):
+            solve_boost_factors(GaussianLRModel(3.0), variant, ALPHA, [GAMMA], 100,
+                                lag_kstar=2)
+
+    def test_no_root_below_b_max(self):
+        # a narrow null leaves the minus cutoff out of reach for any b <= 10
+        model = GaussianLRModel(0.5)
+        sp = spec(TruncationVariant.MINUS, s=5)
+        assert expected_truncated_value(model, sp, 10.0) < 1.0
+        with pytest.raises(SolverError):
+            solve_boost_factor(model, sp, b_max=10.0)
+
+    def test_local_minus_cap_above_cutoff(self):
+        # k0 + 1 > s caps every bracket at 1/((k0+1) ag)
+        model = GaussianLRModel(3.0)
+        sp = spec(TruncationVariant.LOCAL_MINUS, s=5, lag_kstar=9)
+        b = solve_boost_factor(model, sp)
+        assert abs(expected_truncated_value(model, sp, b) - 1.0) <= 1e-6
 
 
 class TestTransforms:

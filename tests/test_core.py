@@ -163,6 +163,18 @@ class TestRejectionSet:
         with pytest.raises(InputError):
             RejectionSet((5,), 4)
 
+    def test_unsorted_index_beyond_time(self):
+        with pytest.raises(InputError):
+            RejectionSet((1, 5, 2), 4)
+
+    def test_index_below_one(self):
+        with pytest.raises(InputError):
+            RejectionSet((0,), 4)
+
+    def test_empty_at_time_zero(self):
+        r = RejectionSet((), 0)
+        assert len(r) == 0 and 1 not in r
+
 
 class TestSelfConsistency:
     def test_empty_true(self):

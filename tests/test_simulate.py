@@ -196,3 +196,66 @@ class TestAdversarial:
             AdversarialConfig(K0=0, alpha=0.05)
         with pytest.raises(ConfigError):
             AdversarialConfig(K0=10, alpha=0.05, K=5)
+
+
+# Rejection times {index: time} and k* jumps {t: k*_t} of the boosted runs of
+# run_trials(GaussianSetupConfig(n=200, m=5, seed=7), ...), trial by trial, as
+# recorded before the boosting solver was vectorized.
+BOOSTED_RUNS = {
+    "oe-bh-boost": [
+        ({2: 2, 103: 103, 111: 111, 191: 191},
+         {2: 1, 103: 2, 111: 3, 191: 4}),
+        ({23: 23, 52: 123, 112: 112, 123: 123, 129: 136, 136: 136},
+         {23: 1, 112: 2, 123: 4, 136: 6}),
+        ({21: 42, 26: 138, 35: 153, 42: 42, 138: 138, 153: 153, 170: 170, 183: 183,
+          188: 190, 190: 190},
+         {42: 2, 138: 4, 153: 6, 170: 7, 183: 8, 190: 10}),
+        ({26: 26, 35: 103, 50: 50, 54: 54, 103: 103, 123: 123},
+         {26: 1, 50: 2, 54: 3, 103: 5, 123: 6}),
+        ({25: 66, 34: 66, 59: 81, 66: 66, 72: 81, 76: 76, 81: 81, 163: 163, 199: 199,
+          200: 200},
+         {66: 3, 76: 4, 81: 7, 163: 8, 199: 9, 200: 10}),
+    ],
+    "oe-bh-boost-minus": [
+        ({2: 2, 103: 103, 111: 111, 191: 191},
+         {2: 1, 103: 2, 111: 3, 191: 4}),
+        ({23: 23, 52: 123, 59: 136, 112: 112, 123: 123, 129: 129, 136: 136},
+         {23: 1, 112: 2, 123: 4, 129: 5, 136: 7}),
+        ({21: 21, 26: 138, 35: 138, 42: 42, 132: 190, 138: 138, 153: 153, 170: 170,
+          183: 183, 188: 188, 190: 190},
+         {21: 1, 42: 2, 138: 5, 153: 6, 170: 7, 183: 8, 188: 9, 190: 11}),
+        ({26: 26, 35: 54, 50: 50, 54: 54, 103: 103, 123: 123, 175: 175},
+         {26: 1, 50: 2, 54: 4, 103: 5, 123: 6, 175: 7}),
+        ({25: 25, 34: 66, 59: 72, 66: 66, 72: 72, 75: 199, 76: 76, 81: 81, 99: 163,
+          145: 199, 163: 163, 199: 199, 200: 200},
+         {25: 1, 66: 3, 72: 5, 76: 6, 81: 7, 163: 9, 199: 12, 200: 13}),
+    ],
+    "oe-bh-boost-local": [
+        ({2: 2, 103: 103, 111: 111, 191: 191},
+         {2: 1, 103: 2, 111: 3, 191: 4}),
+        ({23: 23, 50: 136, 52: 112, 59: 129, 112: 112, 123: 123, 129: 129, 136: 136},
+         {23: 1, 112: 3, 123: 4, 129: 6, 136: 8}),
+        ({21: 21, 26: 138, 35: 138, 42: 42, 89: 190, 132: 188, 138: 138, 153: 153,
+          170: 170, 172: 190, 183: 183, 188: 188, 190: 190},
+         {21: 1, 42: 2, 138: 5, 153: 6, 170: 7, 183: 8, 188: 10, 190: 13}),
+        ({26: 26, 35: 54, 50: 50, 54: 54, 103: 103, 123: 123, 175: 175},
+         {26: 1, 50: 2, 54: 4, 103: 5, 123: 6, 175: 7}),
+        ({25: 25, 34: 66, 59: 72, 66: 66, 72: 72, 75: 163, 76: 76, 81: 81, 99: 99,
+          139: 163, 145: 145, 163: 163, 199: 199, 200: 200},
+         {25: 1, 66: 3, 72: 5, 76: 6, 81: 7, 99: 8, 145: 9, 163: 12, 199: 13, 200: 14}),
+    ],
+}
+
+
+def test_boosted_runs_pinned():
+    """A solver change that flips one boosted decision fails here."""
+    cfg = GaussianSetupConfig(n=200, m=5, seed=7)
+    runs, _ = run_trials(cfg, list(BOOSTED_RUNS))
+    for name, pinned in BOOSTED_RUNS.items():
+        for i, (run, (times, jumps)) in enumerate(zip(runs[name], pinned)):
+            path, k = [], 0
+            for t in range(1, cfg.n + 1):
+                k = jumps.get(t, k)
+                path.append(k)
+            assert run.rejection_times == times, (name, i)
+            assert run.kstar_path == path, (name, i)
