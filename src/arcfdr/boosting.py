@@ -54,6 +54,8 @@ class TruncationSpec:
                  TruncationVariant.LOCAL_MINUS):
             if self.lag_kstar is None or self.lag_kstar < 0:
                 raise ConfigError(f"{v.value} needs lag_kstar >= 0")
+        elif self.lag_kstar is not None:
+            raise ConfigError(f"{v.value} takes no lag_kstar (local variants only)")
         if v is TruncationVariant.TOAD:
             if self.d is None or self.d < 1:
                 raise ConfigError("toad needs a deadline d >= 1")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -251,25 +250,3 @@ def is_self_consistent(candidate, scores, weights: WeightSequence, alpha: float,
                 return False
     return True
 
-
-class _SortedPending:
-    """Indices awaiting rejection, ordered by the k at which they qualify."""
-
-    __slots__ = ("_needs", "_indices")
-
-    def __init__(self):
-        self._needs = []
-        self._indices = []
-
-    def add(self, need: float, index: int):
-        pos = bisect_right(self._needs, need)
-        self._needs.insert(pos, need)
-        self._indices.insert(pos, index)
-
-    def pop_upto(self, k: float) -> list:
-        """Remove and return all indices whose need is <= k."""
-        pos = bisect_right(self._needs, k)
-        out = self._indices[:pos]
-        del self._needs[:pos]
-        del self._indices[:pos]
-        return out

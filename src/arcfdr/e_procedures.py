@@ -4,13 +4,15 @@ and e-TOAD with decision deadlines.
 All procedures accept one score per step and maintain nested rejection sets.
 Rejections are recorded as first-rejection times so that full streams can be
 processed without materializing a set per step; ``step`` additionally returns
-the explicit current :class:`~arcfdr.core.RejectionSet`.
+the explicit current :class:`~arcfdr.core.RejectionSet`.  The step-up engine
+``_KStarStepUp`` under every step-up procedure, e- and p-value, is here too.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
+from heapq import heappop, heappush
 
 from .core import (
     ConfigError,
@@ -18,7 +20,6 @@ from .core import (
     RejectionSet,
     ScoreKind,
     WeightSequence,
-    _SortedPending,
     minimal_k_evalue,
     minimal_k_pvalue,
     score_value,
@@ -52,7 +53,7 @@ class DeadlineSchedule:
 
 
 class StreamProcedure:
-    """Common stream state: scores seen, k* path, and first-rejection times."""
+    """Common stream state: k* path and first-rejection times."""
 
     kind: ScoreKind
 
@@ -62,41 +63,49 @@ class StreamProcedure:
         self.weights = weights
         self.alpha = alpha
         self.t = 0
-        self.scores: list[float] = []
         self.k_star = 0
         self.kstar_path: list[int] = []  # kstar_path[t-1] = k*_t
         self.rejection_times: dict[int, int] = {}
         self._rejected_sorted: list[int] = []
+        self._rejected_tuple: tuple | None = ()  # None: rebuild from the list
         self._last_new: tuple = ()
 
     def _advance(self, value: float) -> list:
         """Process one raw score; returns the list of newly rejected indices."""
         raise NotImplementedError
 
-    def step(self, score) -> RejectionSet:
-        """Feed one score, returning the current rejection set."""
-        value = score_value(score, self.kind)
-        new = self._advance(value)
+    def _add_rejected(self, new: list):
         for i in new:
             insort(self._rejected_sorted, i)
+        self._rejected_tuple = None
+
+    def step(self, score) -> RejectionSet:
+        """Feed one score, returning the current rejection set."""
+        new = self._advance(score_value(score, self.kind))
+        if new:
+            self._add_rejected(new)
         self._last_new = tuple(sorted(new))
         return self.rejection_set()
 
     def run(self, scores) -> "StreamProcedure":
         """Feed a whole stream without materializing per-step sets."""
+        new = None
         for s in scores:
-            value = score_value(s, self.kind)
-            new = self._advance(value)
-            for i in new:
-                insort(self._rejected_sorted, i)
+            new = self._advance(score_value(s, self.kind))
+            if new:
+                self._add_rejected(new)
+        if new is not None:
+            self._last_new = tuple(sorted(new))
         return self
 
     def rejection_set(self) -> RejectionSet:
-        return RejectionSet(tuple(self._rejected_sorted), self.t)
+        if self._rejected_tuple is None:
+            self._rejected_tuple = tuple(self._rejected_sorted)
+        return RejectionSet(self._rejected_tuple, self.t)
 
     @property
     def newly_rejected(self) -> tuple:
-        """Indices first rejected by the most recent step."""
+        """Indices first rejected by the most recent score."""
         return self._last_new
 
     def _record(self, indices, time: int) -> list:
@@ -106,45 +115,96 @@ class StreamProcedure:
 
 
 class _KStarStepUp(StreamProcedure):
-    """Shared machinery for the online (e-)BH step-up recursion.
+    """The step-up engine under every step-up procedure.
 
     Each hypothesis j has an integer "need": the smallest candidate set size k
-    at which its score clears the threshold, so count(k) = #{j : need_j <= k}
-    and k*_t = max{k <= t : count(k) >= k}.  The satisfying set can have gaps,
-    so the max is found by iterating k <- count(k) downward from the largest
-    possible k: any valid k' <= k also satisfies k' <= count(k'), hence
-    k' <= count(k), and the iteration cannot skip past the max fixpoint.
-    k* is nondecreasing in t, which bounds the descent from below.
+    at which its score clears the threshold, and a decision deadline d_j
+    (``deadlines``; None means d_j = inf).  At time t a hypothesis is counted
+    if it is rejected, or if it is not rejected and still active (d_j >= t);
+    count(k) = #{counted j : need_j <= k} and k*_t = max{k : count(k) >= k}.
+    A hypothesis past its deadline and not rejected is a frozen acceptance: it
+    leaves the count for good.  A rejection stays counted, so k*_t = |R_t|.
+
+    The satisfying set can have gaps, so the max is found by iterating
+    k <- count(k) downward from the number of counted needs: any valid
+    k' <= k also satisfies k' <= count(k'), hence k' <= count(k), and the
+    iteration cannot skip past the max fixpoint.  k* is nondecreasing in t,
+    which bounds the descent from below.  Pending hypotheses (counted, not
+    rejected) are kept sorted by need and popped once need <= k*; a heap of
+    their finite deadlines drops them when they expire.
+
+    A subclass supplies ``_need``, which the engine calls once per step before
+    anything else.  A subclass whose keys are not integer needs (Storey's
+    ratios) also sets ``_bound``.
     """
+
+    # None: a key qualifies at set size k when it is at most k.  Otherwise a
+    # method k -> the largest key that qualifies at k; None spares the
+    # integer procedures a call per bisection.
+    _bound = None
 
     def __init__(self, weights, alpha):
         super().__init__(weights, alpha)
-        self._needs_sorted: list[float] = []  # finite needs of all scores
-        self._pending = _SortedPending()
+        self.deadlines: DeadlineSchedule | None = None
+        self._counted: list = []       # sorted needs of counted hypotheses
+        self._pending_needs: list = []  # sorted needs of pending hypotheses
+        self._pending: list[int] = []   # their indices, in the same order
+        self._expiry: list = []         # heap of (d_j, j, need_j), pending j
 
     def _need(self, value: float, t: int) -> float:
         raise NotImplementedError
 
+    def _expire(self, t: int):
+        """Drop pending hypotheses whose deadline is before t."""
+        expiry, counted = self._expiry, self._counted
+        needs, pending = self._pending_needs, self._pending
+        while expiry and expiry[0][0] < t:
+            _, j, need = heappop(expiry)
+            if j in self.rejection_times:
+                continue
+            del counted[bisect_left(counted, need)]
+            # equal needs are ordered by index
+            pos = bisect_left(pending, j, bisect_left(needs, need), bisect_right(needs, need))
+            del needs[pos]
+            del pending[pos]
+
     def _advance(self, value: float) -> list:
-        self.t += 1
-        self.scores.append(value)
-        need = self._need(value, self.t)
+        t = self.t + 1
+        need = self._need(value, t)
+        deadline = None if self.deadlines is None else self.deadlines.deadline(t)
+        self.t = t
+        if self._expiry:
+            self._expire(t)
+        counted, needs = self._counted, self._pending_needs
+        k_star = self.k_star
+        bound_of = self._bound
+        bound = k_star if bound_of is None else bound_of(k_star)
         newly = []
-        if not math.isinf(need):
-            insort(self._needs_sorted, need)
-            if need <= self.k_star:
-                newly = self._record([self.t], self.t)
+        if need != math.inf:
+            insort(counted, need)
+            if need <= bound:
+                newly = self._record([t], t)
             else:
-                self._pending.add(need, self.t)
-        k = len(self._needs_sorted)
-        while k > self.k_star:
-            c = bisect_right(self._needs_sorted, k)
+                pos = bisect_right(needs, need)
+                needs.insert(pos, need)
+                self._pending.insert(pos, t)
+                if deadline is not None and deadline != math.inf:
+                    heappush(self._expiry, (deadline, t, need))
+        k = len(counted)
+        while k > k_star:
+            b = k if bound_of is None else bound_of(k)
+            c = bisect_right(counted, b)
             if c >= k:
-                self.k_star = k
-                newly += self._record(self._pending.pop_upto(k), self.t)
+                k_star = self.k_star = k
+                bound = b
                 break
             k = c
-        self.kstar_path.append(self.k_star)
+        if needs and needs[0] <= bound:
+            pos = bisect_right(needs, bound)
+            newly += self._record(self._pending[:pos], t)
+            del needs[:pos]
+            del self._pending[:pos]
+        self.kstar_path.append(k_star)
         return newly
 
 
@@ -169,7 +229,6 @@ class ELond(StreamProcedure):
 
     def _advance(self, value):
         self.t += 1
-        self.scores.append(value)
         g = self.weights.gamma(self.t)
         r_prev = len(self.rejection_times)
         level = self.alpha * g * (r_prev + 1)
@@ -181,7 +240,7 @@ class ELond(StreamProcedure):
         return newly
 
 
-class EToad(StreamProcedure):
+class EToad(_KStarStepUp):
     """e-TOAD: online e-BH with decision deadlines.
 
     At step t the active set is C_t = {i <= t : d_i >= t}.  Decisions for
@@ -195,37 +254,9 @@ class EToad(StreamProcedure):
     def __init__(self, weights, alpha, deadlines: DeadlineSchedule):
         super().__init__(weights, alpha)
         self.deadlines = deadlines
-        self._needs: list[float] = []
-        self._deadline_of: list[float] = []
 
     def _need(self, value, t):
         return minimal_k_evalue(value, self.alpha, self.weights.gamma(t))
-
-    def _advance(self, value):
-        self.t += 1
-        t = self.t
-        self.scores.append(value)
-        self._needs.append(self._need(value, t))
-        self._deadline_of.append(self.deadlines.deadline(t))
-
-        # |R_{t-1} \ C_t|: rejections whose deadline has passed (frozen)
-        base = sum(1 for i in self.rejection_times if self._deadline_of[i - 1] < t)
-        active = [i for i in range(1, t + 1) if self._deadline_of[i - 1] >= t]
-        adj = sorted(self._needs[i - 1] - base for i in active)
-        k_active = 0
-        for k in range(1, len(adj) + 1):
-            if adj[k - 1] <= k:
-                k_active = k
-        self.k_star = base + k_active
-        self.kstar_path.append(self.k_star)
-
-        # active hypotheses use the current k*; frozen decisions persist as-is
-        newly = []
-        for i in active:
-            if i not in self.rejection_times and self._needs[i - 1] <= self.k_star:
-                newly.append(i)
-        self._record(newly, t)
-        return newly
 
 
 class _KStarStepUpP(_KStarStepUp):

@@ -98,6 +98,35 @@ def weighted_simes(p, weights) -> float:
     return min(best, 1.0) if best < math.inf else 1.0
 
 
+def step_up_reference(deadlines, qualifies):
+    """Rejection times and k* path of a step-up procedure with decision
+    deadlines, by full scan at every t (the definition of e-TOAD and TOAD).
+
+    deadlines[i-1] is d_i >= i (math.inf for none); the stream has
+    len(deadlines) steps.  qualifies(t, i, k) says whether hypothesis i clears
+    its threshold at candidate set size k at time t.  At step t the active set
+    is C_t = {i <= t : d_i >= t} and base = |R_{t-1} - C_t| counts frozen
+    rejections; k*_t = base + max{k : #{i in C_t : qualifies(t, i, base + k)} >= k},
+    and every active i that qualifies at k*_t is rejected.  Unbounded deadlines
+    give online (e-)BH, BR and Storey-BH; d_t = t gives (e-)LOND.
+    """
+    rejection_times: dict[int, int] = {}
+    kstar_path: list[int] = []
+    for t in range(1, len(deadlines) + 1):
+        base = sum(1 for i in rejection_times if deadlines[i - 1] < t)
+        active = [i for i in range(1, t + 1) if deadlines[i - 1] >= t]
+        k_active = 0
+        for k in range(1, len(active) + 1):
+            if sum(1 for i in active if qualifies(t, i, base + k)) >= k:
+                k_active = k
+        k_star = base + k_active
+        kstar_path.append(k_star)
+        for i in active:
+            if k_star and i not in rejection_times and qualifies(t, i, k_star):
+                rejection_times[i] = t
+    return rejection_times, kstar_path
+
+
 def max_self_consistent_fdp(scores, weights, alpha: float, truth: GroundTruth,
                             kind) -> float:
     """Max FDP over all self-consistent subsets, by exhaustive enumeration.

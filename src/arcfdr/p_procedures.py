@@ -5,14 +5,12 @@ r-LOND, online BR, TOAD, online Storey-BH, and the LORD / SAFFRON baselines.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 
 from .core import (
     ConfigError,
     InputError,
     ScoreKind,
     WeightSequence,
-    _SortedPending,
     harmonic_number,
     minimal_k_pvalue,
 )
@@ -118,7 +116,6 @@ class Lond(StreamProcedure):
 
     def _advance(self, value):
         self.t += 1
-        self.scores.append(value)
         g = self.weights.gamma(self.t)
         level = self._threshold(self.t, len(self.rejection_times))
         newly = []
@@ -153,55 +150,23 @@ class OnlineBR(_KStarStepUpP):
         return self.beta.minimal_k(value, self.alpha, self.weights.gamma(t))
 
 
-class Toad(StreamProcedure):
+class Toad(_KStarStepUpP):
     """TOAD: online BR with decision deadlines and per-hypothesis shape
     functions.  d_t = inf with identity beta recovers online BH; d_t = t
     recovers r-LOND.
     """
-
-    kind = ScoreKind.P_VALUE
 
     def __init__(self, weights, alpha, deadlines: DeadlineSchedule, beta):
         super().__init__(weights, alpha)
         self.deadlines = deadlines
         # beta: a single ShapeFunction or a callable index -> ShapeFunction
         self._beta_of = beta if callable(beta) else (lambda t: beta)
-        self._betas: list[ShapeFunction] = []
-        self._pvalues_ok: list[bool] = []
-        self._deadline_of: list[float] = []
 
-    def _advance(self, value):
-        self.t += 1
-        t = self.t
-        self.scores.append(value)
-        self._betas.append(self._beta_of(t))
-        self._deadline_of.append(self.deadlines.deadline(t))
-
-        base = sum(1 for i in self.rejection_times if self._deadline_of[i - 1] < t)
-        active = [i for i in range(1, t + 1) if self._deadline_of[i - 1] >= t]
-
-        def countable(i: int, k: int) -> bool:
-            g = self.weights.gamma(i)
-            return g > 0.0 and self.scores[i - 1] <= self.alpha * g * self._betas[i - 1].beta(base + k)
-
-        k_active = 0
-        for k in range(1, len(active) + 1):
-            if sum(1 for i in active if countable(i, k)) >= k:
-                k_active = k
-        self.k_star = base + k_active
-        self.kstar_path.append(self.k_star)
-
-        newly = []
-        for i in active:
-            g = self.weights.gamma(i)
-            if (i not in self.rejection_times and g > 0.0
-                    and self.scores[i - 1] <= self.alpha * g * self._betas[i - 1].beta(self.k_star)):
-                newly.append(i)
-        self._record(newly, t)
-        return newly
+    def _need(self, value, t):
+        return self._beta_of(t).minimal_k(value, self.alpha, self.weights.gamma(t))
 
 
-class OnlineStoreyBH(StreamProcedure):
+class OnlineStoreyBH(_KStarStepUpP):
     """Online Storey-BH: online BH with the adaptive null-mass estimate
 
         pi0_hat_t = (gamma_max + sum_{i<=t} gamma_i 1{P_i > lambda}
@@ -211,9 +176,11 @@ class OnlineStoreyBH(StreamProcedure):
     nonincreasing in t, so thresholds only grow and the rejection sets are
     nested.  With uniform weights over K it recovers offline Storey-BH at
     time K.
-    """
 
-    kind = ScoreKind.P_VALUE
+    On the step-up engine a candidate (P <= lambda, gamma > 0) is keyed by
+    its ratio P / (alpha gamma), which qualifies at k iff it is at most
+    k / pi0_hat_t; other hypotheses are never counted.
+    """
 
     def __init__(self, weights, alpha, lam: float = 0.5):
         super().__init__(weights, alpha)
@@ -222,44 +189,24 @@ class OnlineStoreyBH(StreamProcedure):
         self.lam = lam
         self._over_lambda_mass = 0.0
         self.pi0_hat = math.inf
-        # candidates (P <= lambda, gamma > 0) sorted by P / (alpha * gamma)
-        self._ratios: list[float] = []
-        self._pending = _SortedPending()
 
-    def _advance(self, value):
-        self.t += 1
-        t = self.t
-        self.scores.append(value)
+    def _need(self, value, t):
+        # the engine asks for the need first, so pi0_hat_t is set before the search
         g = self.weights.gamma(t)
         if value > self.lam:
             self._over_lambda_mass += g
-        self.pi0_hat = (
+        # the two masses are rounded separately, so the formula can rise by an
+        # ulp when P_t > lambda; the min keeps pi0_hat, and so k*, monotone
+        self.pi0_hat = min(self.pi0_hat, (
             self.weights.gamma_max + self._over_lambda_mass + self.weights.tail_mass(t)
-        ) / (1.0 - self.lam)
-
-        newly = []
+        ) / (1.0 - self.lam))
         if value <= self.lam and g > 0.0:
-            ratio = value / (self.alpha * g)
-            insort(self._ratios, ratio)
-            if ratio <= self.k_star / self.pi0_hat and self.k_star >= 1:
-                newly = self._record([t], t)
-            else:
-                self._pending.add(ratio, t)
+            return value / (self.alpha * g)
+        return math.inf
 
-        # count(k) = #{candidates with P_j <= k alpha gamma_j / pi0_hat};
-        # k* = max{k : count(k) >= k}, found by the downward iteration
-        # k <- count(k) (see _KStarStepUp); nondecreasing in t since both
-        # pi0_hat shrinks and candidates accumulate
-        k = len(self._ratios)
-        while k > self.k_star:
-            c = bisect_right(self._ratios, k / self.pi0_hat)
-            if c >= k:
-                self.k_star = k
-                break
-            k = c
-        newly += self._record(self._pending.pop_upto(self.k_star / self.pi0_hat), t)
-        self.kstar_path.append(self.k_star)
-        return newly
+    def _bound(self, k):
+        # pi0_hat is 0 only when every weight is 0, and then no key is counted
+        return k / self.pi0_hat if self.pi0_hat else math.inf
 
 
 class Lord(StreamProcedure):
@@ -300,7 +247,6 @@ class Lord(StreamProcedure):
     def _advance(self, value):
         self.t += 1
         t = self.t
-        self.scores.append(value)
         if self._geom_q is not None:
             q = self._geom_q
             self._sum_first *= q
@@ -380,7 +326,6 @@ class Saffron(StreamProcedure):
     def _advance(self, value):
         self.t += 1
         t = self.t
-        self.scores.append(value)
         level = self._level(t)
         self.levels.append(level)
         if value > self.lam:

@@ -52,6 +52,15 @@ class TestTruncate:
         # at or above the floor both agree with full truncation
         assert truncate(plus, 210.0) == truncate(minus, 210.0) == pytest.approx(200.0)
 
+    @pytest.mark.parametrize("variant, kw", [
+        (TruncationVariant.FULL, {}), (TruncationVariant.PLUS, {"s": 10}),
+        (TruncationVariant.MINUS, {"s": 10}), (TruncationVariant.PRDS, {"s": 10}),
+        (TruncationVariant.TOAD, {"d": 10})])
+    def test_lag_only_on_local_variants(self, variant, kw):
+        # truncate would cap at the lag while the expected value ignores it
+        with pytest.raises(ConfigError, match="lag_kstar"):
+            spec(variant, lag_kstar=2, **kw)
+
     def test_toad_equals_minus_at_deadline(self):
         toad = spec(TruncationVariant.TOAD, d=7)
         minus = spec(TruncationVariant.MINUS, s=7)

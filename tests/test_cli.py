@@ -118,6 +118,13 @@ class TestBoostFactor:
         with pytest.raises(SystemExit):
             run_cli(["boost-factor", "--preset", "nope"])
 
+    def test_lag_on_non_local_variant_fails(self):
+        status, out, err = run_cli(["boost-factor", "--variant", "minus",
+                                    "--s", "10", "--lag", "2"])
+        assert status == 1
+        assert len(out.strip().splitlines()) == 1  # the header only
+        assert "lag_kstar" in err
+
 
 class TestSimulateCsv:
     ARGS = ["simulate", "--procedures", "lond,obh", "--n", "100", "--m", "3",

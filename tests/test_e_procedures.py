@@ -36,6 +36,17 @@ class TestOnlineEBH:
         assert set(r.indices) == {1, 2} and proc.k_star == 2
         assert set(proc.newly_rejected) == {1, 2}
 
+    def test_run_sets_newly_rejected(self):
+        proc = OnlineEBH(WeightSequence.uniform_finite(3), 0.5).run([100.0] * 3)
+        assert proc.newly_rejected == (3,)
+        proc = OnlineEBH(WeightSequence.explicit([0.5, 0.5]), 0.1)
+        proc.step(10.0)
+        assert proc.run([30.0]).newly_rejected == (1, 2)  # joint rejection
+        proc.run([0.0])
+        assert proc.newly_rejected == ()  # not the earlier step's
+        proc.run([])
+        assert proc.newly_rejected == ()
+
     def test_kind_enforced(self):
         proc = OnlineEBH(WeightSequence.geometric(0.9), 0.1)
         with pytest.raises(InputError):

@@ -231,6 +231,17 @@ class TestOnlineStoreyBH:
             assert proc.pi0_hat <= prev + 1e-15
             prev = proc.pi0_hat
 
+    def test_pi0_exactly_nonincreasing(self):
+        # the masses over and under lambda are rounded separately, so the
+        # formula alone rises by an ulp on some steps
+        rng = np.random.default_rng(29)
+        proc = OnlineStoreyBH(WeightSequence.uniform_finite(300), 0.05, 0.5)
+        prev = math.inf
+        for x in rng.random(300):
+            proc.step(float(x))
+            assert proc.pi0_hat <= prev
+            prev = proc.pi0_hat
+
     def test_matches_offline_storey(self):
         rng = np.random.default_rng(20)
         for _ in range(200):
@@ -248,6 +259,12 @@ class TestOnlineStoreyBH:
             cur = set(proc.step(float(x)).indices)
             assert prev <= cur
             prev = cur
+
+    def test_all_zero_weights(self):
+        # pi0_hat is 0; no hypothesis carries weight, so none is a candidate
+        proc = OnlineStoreyBH(WeightSequence.explicit([0.0, 0.0]), 0.05, 0.5)
+        assert proc.run([0.0, 0.9]).rejection_set().indices == ()
+        assert proc.kstar_path == [0, 0]
 
     def test_all_above_lambda_no_boost(self):
         # pi0_hat >= 1 keeps Storey thresholds at or below plain BH's
