@@ -16,6 +16,8 @@ import tempfile
 CSV_COLUMNS = ("procedure", "pi_a", "mu_a", "q", "alpha", "metric", "value",
                "stderr", "n", "m", "seed")
 
+_FLAGS = {"true": True, "1": True, "false": False, "0": False}
+
 
 def _read_config(path: str) -> dict:
     cfg = {}
@@ -39,7 +41,15 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in file_cfg.items():
             if key not in defaults:
                 raise SystemExit(f"unknown config key {key!r}")
-            merged[key] = type(defaults[key])(value) if defaults[key] is not None else value
+            default = defaults[key]
+            if isinstance(default, bool):
+                # bool("false") is True, so flags are read by name
+                if value.lower() not in _FLAGS:
+                    raise SystemExit(f"config key {key!r} must be true, false, 1 or 0")
+                value = _FLAGS[value.lower()]
+            elif default is not None:
+                value = type(default)(value)
+            merged[key] = value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:

@@ -198,6 +198,9 @@ def minimal_k_pvalue(p: float, alpha: float, gamma: float) -> float:
         # weight zero carries no error budget: never rejected, even at p = 0
         return math.inf
     ag = alpha * gamma
+    if ag == 0.0:
+        # alpha * gamma underflowed: every threshold k * ag is 0
+        return 1 if p == 0.0 else math.inf
     kf = p / ag
     if kf > 1e15:
         return math.inf

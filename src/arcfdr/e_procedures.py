@@ -70,30 +70,36 @@ class StreamProcedure:
         self._rejected_tuple: tuple | None = ()  # None: rebuild from the list
         self._last_new: tuple = ()
 
-    def _advance(self, value: float) -> list:
-        """Process one raw score; returns the list of newly rejected indices."""
+    def _advance(self, value: float, t: int) -> list:
+        """Process the raw score of hypothesis t; return the indices it newly
+        rejects.  Raises before changing any state."""
         raise NotImplementedError
 
-    def _add_rejected(self, new: list):
-        for i in new:
-            insort(self._rejected_sorted, i)
-        self._rejected_tuple = None
+    def _feed(self, score) -> list:
+        """Advance one step and keep the books: rejection times, the sorted
+        rejections, and k*_t = |R_t|, which holds for every procedure here."""
+        t = self.t + 1
+        new = self._advance(score_value(score, self.kind), t)
+        self.t = t
+        if new:
+            for i in new:
+                self.rejection_times[i] = t
+                insort(self._rejected_sorted, i)
+            self._rejected_tuple = None
+            self.k_star = len(self.rejection_times)
+        self.kstar_path.append(self.k_star)
+        return new
 
     def step(self, score) -> RejectionSet:
         """Feed one score, returning the current rejection set."""
-        new = self._advance(score_value(score, self.kind))
-        if new:
-            self._add_rejected(new)
-        self._last_new = tuple(sorted(new))
+        self._last_new = tuple(sorted(self._feed(score)))
         return self.rejection_set()
 
     def run(self, scores) -> "StreamProcedure":
         """Feed a whole stream without materializing per-step sets."""
         new = None
         for s in scores:
-            new = self._advance(score_value(s, self.kind))
-            if new:
-                self._add_rejected(new)
+            new = self._feed(s)
         if new is not None:
             self._last_new = tuple(sorted(new))
         return self
@@ -107,11 +113,6 @@ class StreamProcedure:
     def newly_rejected(self) -> tuple:
         """Indices first rejected by the most recent score."""
         return self._last_new
-
-    def _record(self, indices, time: int) -> list:
-        for i in indices:
-            self.rejection_times[i] = time
-        return list(indices)
 
 
 class _KStarStepUp(StreamProcedure):
@@ -168,11 +169,9 @@ class _KStarStepUp(StreamProcedure):
             del needs[pos]
             del pending[pos]
 
-    def _advance(self, value: float) -> list:
-        t = self.t + 1
+    def _advance(self, value: float, t: int) -> list:
         need = self._need(value, t)
         deadline = None if self.deadlines is None else self.deadlines.deadline(t)
-        self.t = t
         if self._expiry:
             self._expire(t)
         counted, needs = self._counted, self._pending_needs
@@ -183,7 +182,7 @@ class _KStarStepUp(StreamProcedure):
         if need != math.inf:
             insort(counted, need)
             if need <= bound:
-                newly = self._record([t], t)
+                newly = [t]
             else:
                 pos = bisect_right(needs, need)
                 needs.insert(pos, need)
@@ -195,17 +194,26 @@ class _KStarStepUp(StreamProcedure):
             b = k if bound_of is None else bound_of(k)
             c = bisect_right(counted, b)
             if c >= k:
-                k_star = self.k_star = k
                 bound = b
                 break
             k = c
         if needs and needs[0] <= bound:
             pos = bisect_right(needs, bound)
-            newly += self._record(self._pending[:pos], t)
+            newly += self._pending[:pos]
             del needs[:pos]
             del self._pending[:pos]
-        self.kstar_path.append(k_star)
         return newly
+
+
+class _LondRule(StreamProcedure):
+    """The closed-form LOND rule: H_t is rejected on arrival iff its need is
+    at most |R_{t-1}| + 1, and never later.  This is the step-up engine with
+    d_t = t, where count(k) is |R_{t-1}| plus H_t if need_t <= k, without its
+    lists.  A subclass supplies ``_need``, the one of its step-up sibling.
+    """
+
+    def _advance(self, value: float, t: int) -> list:
+        return [t] if self._need(value, t) <= len(self.rejection_times) + 1 else []
 
 
 class OnlineEBH(_KStarStepUp):
@@ -222,25 +230,14 @@ class OnlineEBH(_KStarStepUp):
         return minimal_k_evalue(value, self.alpha, self.weights.gamma(t))
 
 
-class ELond(StreamProcedure):
+class ELond(_LondRule):
     """e-LOND: fully online, rejects H_t iff E_t >= 1/(alpha gamma_t (|R_{t-1}| + 1))."""
 
     kind = ScoreKind.E_VALUE
-
-    def _advance(self, value):
-        self.t += 1
-        g = self.weights.gamma(self.t)
-        r_prev = len(self.rejection_times)
-        level = self.alpha * g * (r_prev + 1)
-        newly = []
-        if g > 0.0 and (math.isinf(value) or value >= 1.0 / level):
-            newly = self._record([self.t], self.t)
-        self.k_star = len(self.rejection_times)
-        self.kstar_path.append(self.k_star)
-        return newly
+    _need = OnlineEBH._need
 
 
-class EToad(_KStarStepUp):
+class EToad(OnlineEBH):
     """e-TOAD: online e-BH with decision deadlines.
 
     At step t the active set is C_t = {i <= t : d_i >= t}.  Decisions for
@@ -249,14 +246,9 @@ class EToad(_KStarStepUp):
     e-BH for d_t = inf and e-LOND for d_t = t.
     """
 
-    kind = ScoreKind.E_VALUE
-
     def __init__(self, weights, alpha, deadlines: DeadlineSchedule):
         super().__init__(weights, alpha)
         self.deadlines = deadlines
-
-    def _need(self, value, t):
-        return minimal_k_evalue(value, self.alpha, self.weights.gamma(t))
 
 
 class _KStarStepUpP(_KStarStepUp):

@@ -14,7 +14,7 @@ from .core import (
     harmonic_number,
     minimal_k_pvalue,
 )
-from .e_procedures import DeadlineSchedule, StreamProcedure, _KStarStepUpP
+from .e_procedures import DeadlineSchedule, StreamProcedure, _KStarStepUpP, _LondRule
 
 
 class ShapeFunction:
@@ -106,37 +106,6 @@ class OnlineBH(_KStarStepUpP):
     """
 
 
-class Lond(StreamProcedure):
-    """LOND: fully online, rejects H_t iff P_t <= alpha gamma_t (|R_{t-1}| + 1)."""
-
-    kind = ScoreKind.P_VALUE
-
-    def _threshold(self, t: int, r_prev: int) -> float:
-        return self.alpha * self.weights.gamma(t) * (r_prev + 1)
-
-    def _advance(self, value):
-        self.t += 1
-        g = self.weights.gamma(self.t)
-        level = self._threshold(self.t, len(self.rejection_times))
-        newly = []
-        if g > 0.0 and value <= level:
-            newly = self._record([self.t], self.t)
-        self.k_star = len(self.rejection_times)
-        self.kstar_path.append(self.k_star)
-        return newly
-
-
-class RLond(Lond):
-    """Reshaped LOND: threshold alpha gamma_t beta(|R_{t-1}| + 1)."""
-
-    def __init__(self, weights, alpha, beta: ShapeFunction):
-        super().__init__(weights, alpha)
-        self.beta = beta
-
-    def _threshold(self, t, r_prev):
-        return self.alpha * self.weights.gamma(t) * self.beta.beta(r_prev + 1)
-
-
 class OnlineBR(_KStarStepUpP):
     """Online BR: online-BH-style step-up with reshaped thresholds
     alpha gamma_j beta(k).  beta = identity recovers online BH.
@@ -148,6 +117,23 @@ class OnlineBR(_KStarStepUpP):
 
     def _need(self, value, t):
         return self.beta.minimal_k(value, self.alpha, self.weights.gamma(t))
+
+
+class Lond(_LondRule):
+    """LOND: fully online, rejects H_t iff P_t <= alpha gamma_t (|R_{t-1}| + 1)."""
+
+    kind = ScoreKind.P_VALUE
+    _need = OnlineBH._need
+
+
+class RLond(Lond):
+    """Reshaped LOND: threshold alpha gamma_t beta(|R_{t-1}| + 1)."""
+
+    _need = OnlineBR._need
+
+    def __init__(self, weights, alpha, beta: ShapeFunction):
+        super().__init__(weights, alpha)
+        self.beta = beta
 
 
 class Toad(_KStarStepUpP):
@@ -244,9 +230,7 @@ class Lord(StreamProcedure):
             rest = math.fsum(self.weights.gamma(t - tau) for tau in self._tau[1:])
         return self.weights.gamma(t) * self.w0 + (self.alpha - self.w0) * first + self.alpha * rest
 
-    def _advance(self, value):
-        self.t += 1
-        t = self.t
+    def _advance(self, value, t):
         if self._geom_q is not None:
             q = self._geom_q
             self._sum_first *= q
@@ -260,13 +244,10 @@ class Lord(StreamProcedure):
         level = self._level(t)
         self.levels.append(level)
         self.spent += level
-        newly = []
         if value <= level:
             self._tau.append(t)
-            newly = self._record([t], t)
-        self.k_star = len(self.rejection_times)
-        self.kstar_path.append(self.k_star)
-        return newly
+            return [t]
+        return []
 
     def condition_slack(self) -> float:
         """alpha * (|R_t| v 1) - sum_{i<=t} alpha_i; nonnegative when valid."""
@@ -323,18 +304,15 @@ class Saffron(StreamProcedure):
                + (1.0 - self.lam) * self.alpha * rest)
         return min(self.lam, raw)
 
-    def _advance(self, value):
-        self.t += 1
-        t = self.t
+    def _advance(self, value, t):
         level = self._level(t)
         self.levels.append(level)
         if value > self.lam:
             self.discounted_spend += level / (1.0 - self.lam)
-        newly = []
-        if value <= level:
+        rejected = value <= level
+        if rejected:
             self._tau.append(t)
             self._cand_after.append(0)
-            newly = self._record([t], t)
         is_candidate = value <= self.lam
         if is_candidate:
             self._cand_total += 1
@@ -354,9 +332,7 @@ class Saffron(StreamProcedure):
                     self._sum_first += g1
                 else:
                     self._sum_rest += g1
-        self.k_star = len(self.rejection_times)
-        self.kstar_path.append(self.k_star)
-        return newly
+        return [t] if rejected else []
 
     def condition_slack(self) -> float:
         """alpha * (|R_t| v 1) - sum alpha_i 1{P_i > lambda}/(1-lambda)."""

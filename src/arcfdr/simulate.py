@@ -19,7 +19,6 @@ from .boosting import (
     BoostTable,
     GaussianLRModel,
     TruncationVariant,
-    _grid_index,
     solve_boost_factors,
 )
 from .core import ConfigError, WeightSequence
@@ -109,26 +108,6 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
     return GaussianTrial(z, x, evalues, pvalues, truth)
 
 
-def _truncate_minus_stream(x, alpha, gammas, s, cap_k=None):
-    """Minus-cutoff truncation with per-index gamma_t (vectorized over t).
-
-    cap_k, if given, is a per-index array of lag k* values; the output is
-    additionally capped at 1/((cap_k + 1) alpha gamma_t).
-    """
-    x = np.asarray(x, dtype=float)
-    ag = alpha * np.asarray(gammas, dtype=float)
-    out = np.zeros_like(x)
-    pos = ag > 0.0
-    k = _grid_index(np.where(pos, x, 0.0), np.where(pos, ag, 1.0))
-    hit = pos & (k >= 1.0) & (k <= s)
-    out[hit] = 1.0 / (k[hit] * ag[hit])
-    if cap_k is not None:
-        cap = np.full_like(x, np.inf)
-        cap[pos] = 1.0 / ((np.asarray(cap_k, dtype=float)[pos] + 1.0) * ag[pos])
-        out = np.minimum(out, cap)
-    return out
-
-
 def _boost_factors(cfg, variant, ts, lag_kstars=None, cache=None):
     """b_t for each index in ts, memoized per (configuration, t, k0).
 
@@ -178,10 +157,8 @@ class ProcedureRun:
     kstar_path: list
 
     def rejection_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for t in self.rejection_times.values():
-            counts[t] += 1
-        return np.cumsum(counts[1:])
+        """|R_t| for t = 1..n, which is the k* path for every procedure."""
+        return np.asarray(self.kstar_path, dtype=np.int64)
 
     @property
     def final_rejections(self) -> tuple:
@@ -193,7 +170,6 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
     weights = WeightSequence.geometric(cfg.q)
     alpha, n = cfg.alpha, cfg.n
     ts = np.arange(1, n + 1)
-    gammas = cfg.q ** (ts - 1) * (1.0 - cfg.q)
 
     if name == "oe-bh":
         proc = OnlineEBH(weights, alpha).run(trial.evalues)
@@ -205,9 +181,11 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
         b = _boost_factors(cfg, TruncationVariant.PLUS, ts, cache=cache)
         proc = OnlineEBH(weights, alpha).run(b * trial.evalues)
     elif name == "oe-bh-boost-minus":
+        # minus truncation at s = n only zeroes values whose need exceeds
+        # n >= k*_t and moves the rest down to a grid value of the same need,
+        # so it changes no decision of online e-BH
         b = _boost_factors(cfg, TruncationVariant.MINUS, ts, cache=cache)
-        boosted = _truncate_minus_stream(b * trial.evalues, alpha, gammas, n)
-        proc = OnlineEBH(weights, alpha).run(boosted)
+        proc = OnlineEBH(weights, alpha).run(b * trial.evalues)
     elif name == "oe-bh-boost-local":
         # lag L_t = (t-1) mod batch_size, so k*_{t-L_t-1} is this run's own
         # k* at the end of the previous batch; process batch by batch
@@ -219,10 +197,10 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
             lags = np.full(len(idx), k0)
             b = _boost_factors(cfg, TruncationVariant.LOCAL_MINUS, idx,
                                lag_kstars=lags, cache=cache)
-            vals = _truncate_minus_stream(
-                b * trial.evalues[start:start + bsz], alpha,
-                gammas[start:start + bsz], n, cap_k=lags)
-            proc.run(vals)
+            # the lag cap 1/((k0+1) alpha gamma_t) only raises needs <= k0 to
+            # k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
+            # arrival either way, and needs below k*_t are never read again
+            proc.run(b * trial.evalues[start:start + bsz])
     elif name == "obh":
         proc = OnlineBH(weights, alpha).run(trial.pvalues)
     elif name == "lond":

@@ -195,6 +195,24 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             run_cli(["simulate", "--config", str(cfg)])
 
+    @pytest.mark.parametrize("text, flag", [("false", False), ("False", False), ("0", False),
+                                            ("true", True), ("TRUE", True), ("1", True)])
+    def test_boolean_values(self, tmp_path, monkeypatch, text, flag):
+        seen = []
+        monkeypatch.setattr("arcfdr.simulate.run_experiment",
+                            lambda cfg, *args, **kwargs: seen.append(cfg) or [])
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n=100\nm=2\nbatch-size=20\np_from_z = {text}\n")
+        status, _, _ = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 0
+        assert seen[0].p_from_z is flag
+
+    def test_bad_boolean_names_key(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("p_from_z = no\n")
+        with pytest.raises(SystemExit, match="p_from_z"):
+            run_cli(["simulate", "--config", str(cfg)])
+
 
 class TestOracleCheck:
     def test_agreement(self):

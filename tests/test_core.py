@@ -122,6 +122,14 @@ class TestMinimalK:
         # weight 0 carries no error budget, even for p = 0
         assert minimal_k_pvalue(0.0, 0.1, 0.0) == math.inf
 
+    def test_underflowing_alpha_gamma(self):
+        # gamma > 0 but alpha * gamma rounds to 0: only p = 0 clears k * 0
+        assert 0.05 * 5e-324 == 0.0
+        assert minimal_k_pvalue(0.0, 0.05, 5e-324) == 1
+        assert minimal_k_pvalue(1e-300, 0.05, 5e-324) == math.inf
+        assert minimal_k_evalue(1e300, 0.05, 5e-324) == math.inf
+        assert minimal_k_evalue(math.inf, 0.05, 5e-324) == 1
+
     def test_infinite_evalue(self):
         assert minimal_k_evalue(math.inf, 0.1, 0.5) == 1
 

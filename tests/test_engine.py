@@ -13,9 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcfdr.core import WeightSequence
-from arcfdr.e_procedures import DeadlineSchedule, EToad, OnlineEBH
+from arcfdr.e_procedures import DeadlineSchedule, ELond, EToad, OnlineEBH
 from arcfdr.oracles import step_up_reference
-from arcfdr.p_procedures import OnlineBH, OnlineBR, OnlineStoreyBH, ShapeFunction, Toad
+from arcfdr.p_procedures import (
+    Lond,
+    OnlineBH,
+    OnlineBR,
+    OnlineStoreyBH,
+    RLond,
+    ShapeFunction,
+    Toad,
+)
 
 SHAPES = (ShapeFunction.identity(), ShapeFunction.by(4),
           ShapeFunction.custom({1.0: 0.3, 3.0: 0.5, 7.0: 0.2}))
@@ -130,6 +138,21 @@ def test_toad_per_index_shapes(stream):
     beta_of = lambda i: SHAPES[i % 3]  # noqa: E731
     assert_matches_reference(Toad(w, alpha, DeadlineSchedule.explicit(deadlines), beta_of),
                              p, deadlines, p_qualifies(p, weights, alpha, beta_of))
+
+
+@given(streams("e"), streams("p"))
+@settings(max_examples=300, deadline=None)
+def test_lond_family_is_step_up_with_immediate_deadlines(e_stream, p_stream):
+    alpha, weights, _, e = e_stream
+    w, immediate = WeightSequence.explicit(weights), list(range(1, len(e) + 1))
+    assert_matches_reference(ELond(w, alpha), e, immediate, e_qualifies(e, weights, alpha))
+
+    alpha, weights, _, p = p_stream
+    w, immediate = WeightSequence.explicit(weights), list(range(1, len(p) + 1))
+    assert_matches_reference(Lond(w, alpha), p, immediate, p_qualifies(p, weights, alpha))
+    for beta in SHAPES:
+        assert_matches_reference(RLond(w, alpha, beta), p, immediate,
+                                 p_qualifies(p, weights, alpha, lambda i: beta))
 
 
 def test_joint_rejection_at_immediate_deadline():

@@ -123,6 +123,16 @@ class TestLond:
             assert set(lond.step(float(x)).indices) <= set(obh.step(float(x)).indices)
 
 
+def test_lond_and_obh_with_underflowing_alpha_gamma():
+    # geometric(0.5) weights are subnormal past t ~ 1022, alpha * gamma_t is 0
+    # from t = 1071 and gamma_t is 0 from t = 1075: p = 0 is rejected while
+    # gamma_t > 0, even where alpha * gamma_t is 0
+    w = WeightSequence.geometric(0.5)
+    p = [0.0 if t in (1060, 1071, 1074, 1078) else 0.3 for t in range(1, 1081)]
+    for proc in (Lond(w, 0.05), OnlineBH(w, 0.05)):
+        assert set(proc.run(p).rejection_times) == {1060, 1071, 1074}
+
+
 class TestRLond:
     def test_identity_is_lond(self):
         rng = np.random.default_rng(8)
@@ -135,10 +145,11 @@ class TestRLond:
 
     def test_by_shrinks_thresholds(self):
         w = WeightSequence.uniform_finite(3)
-        proc = RLond(w, 0.3, ShapeFunction.by(3))
         # first threshold: alpha gamma beta(1) = 0.3 * (1/3) * (6/11)
-        lvl = proc._threshold(1, 0)
-        assert lvl == pytest.approx(0.3 * (1 / 3) * (1 / harmonic_number(3)))
+        lvl = (0.3 * (1 / 3)) * (1 / harmonic_number(3))
+        assert RLond(w, 0.3, ShapeFunction.by(3)).step(lvl).indices == (1,)
+        above = math.nextafter(lvl, 1.0)
+        assert RLond(w, 0.3, ShapeFunction.by(3)).step(above).indices == ()
 
     def test_subset_of_obr(self):
         rng = np.random.default_rng(13)
