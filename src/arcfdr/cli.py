@@ -20,6 +20,7 @@ _FLAGS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def _read_config(path: str) -> dict:
+    """key -> (value, line number) of a flat key=value file."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -29,7 +30,7 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            cfg[key.strip().replace("-", "_")] = (value.strip(), lineno)
     return cfg
 
 
@@ -37,18 +38,23 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """flags > config file > defaults; argparse leaves unset flags as None."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        file_cfg = _read_config(args.config)
-        for key, value in file_cfg.items():
+        path = args.config
+        for key, (value, lineno) in _read_config(path).items():
+            where = f"{path}:{lineno}: config key {key!r}"
             if key not in defaults:
-                raise SystemExit(f"unknown config key {key!r}")
+                raise SystemExit(f"{where} is unknown")
             default = defaults[key]
             if isinstance(default, bool):
                 # bool("false") is True, so flags are read by name
                 if value.lower() not in _FLAGS:
-                    raise SystemExit(f"config key {key!r} must be true, false, 1 or 0")
+                    raise SystemExit(f"{where} must be true, false, 1 or 0, got {value!r}")
                 value = _FLAGS[value.lower()]
             elif default is not None:
-                value = type(default)(value)
+                try:
+                    value = type(default)(value)
+                except ValueError:
+                    raise ValueError(f"{where} expects {type(default).__name__}, "
+                                     f"got {value!r}") from None
             merged[key] = value
     for key in defaults:
         value = getattr(args, key, None)

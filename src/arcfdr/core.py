@@ -84,18 +84,21 @@ class WeightSequence:
                 suffix[i] = suffix[i + 1] + weights[i]
             self._suffix = suffix
             self._gamma_max = max(weights) if weights else 0.0
+            self._support = sum(1 for w in weights if w > 0.0)
         elif description == "geometric":
             q = float(params["q"])
             if not (0.0 < q < 1.0):
                 raise InputError(f"geometric parameter q={q} outside (0, 1)")
             self._q = q
             self._gamma_max = 1.0 - q
+            self._support = math.inf
         elif description == "uniform_finite":
             K = int(params["K"])
             if K < 1:
                 raise InputError(f"uniform horizon K={K} must be >= 1")
             self._K = K
             self._gamma_max = 1.0 / K
+            self._support = K
         else:
             raise ConfigError(f"unknown weight description {description!r}")
 
@@ -136,9 +139,22 @@ class WeightSequence:
         """Supremum of gamma_i over the whole (possibly infinite) sequence."""
         return self._gamma_max
 
+    @property
+    def support_size(self) -> float:
+        """Number of positive weights: K for uniform, the count of positive
+        entries for explicit, inf for geometric."""
+        return self._support
+
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self._params.items())
         return f"WeightSequence.{self.description}({args})"
+
+
+class _SortedIndices(tuple):
+    """A tuple of indices known to be in ascending order, so a RejectionSet
+    can range-check it at its two ends."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,13 @@ class RejectionSet:
 
     def __post_init__(self):
         indices = self.indices
-        if indices and (min(indices) < 1 or max(indices) > self.time):
+        if not indices:
+            return
+        if type(indices) is _SortedIndices:
+            lo, hi = indices[0], indices[-1]
+        else:
+            lo, hi = min(indices), max(indices)
+        if lo < 1 or hi > self.time:
             raise InputError("rejection set contains an index beyond its time")
 
     def __contains__(self, i: int) -> bool:

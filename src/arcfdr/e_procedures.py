@@ -23,6 +23,7 @@ from .core import (
     minimal_k_evalue,
     minimal_k_pvalue,
     score_value,
+    _SortedIndices,
 )
 
 
@@ -106,7 +107,7 @@ class StreamProcedure:
 
     def rejection_set(self) -> RejectionSet:
         if self._rejected_tuple is None:
-            self._rejected_tuple = tuple(self._rejected_sorted)
+            self._rejected_tuple = _SortedIndices(self._rejected_sorted)
         return RejectionSet(self._rejected_tuple, self.t)
 
     @property
@@ -127,16 +128,36 @@ class _KStarStepUp(StreamProcedure):
     leaves the count for good.  A rejection stays counted, so k*_t = |R_t|.
 
     The satisfying set can have gaps, so the max is found by iterating
-    k <- count(k) downward from the number of counted needs: any valid
+    k <- count(k) downward from N, the number of counted hypotheses: any valid
     k' <= k also satisfies k' <= count(k'), hence k' <= count(k), and the
     iteration cannot skip past the max fixpoint.  k* is nondecreasing in t,
-    which bounds the descent from below.  Pending hypotheses (counted, not
-    rejected) are kept sorted by need and popped once need <= k*; a heap of
-    their finite deadlines drops them when they expire.
+    which bounds the descent from below.  After a search no k in (k*, N]
+    qualifies, and count(k) can only grow where a need <= k enters the
+    lists, so the engine keeps a mark below which that still holds and stops
+    the next descent there.  Storey's keys qualify at a bound that moves with
+    pi0_hat, so its search always descends to k*.
+
+    The search reads count(k) only for k <= N, so a need above N cannot
+    qualify yet.  It waits in a min-heap of (need, j) and is drained into the
+    sorted lists once N reaches it; the drain runs before every search
+    against N itself, waiting entries included.  Pending hypotheses (in the
+    lists, not rejected) are kept sorted by need, equal needs by index, and
+    popped once need <= k*.  A heap of finite deadlines takes expiring
+    hypotheses out of N: out of the lists when they are there, and by a
+    marker that the drain skips when they are still waiting.  N never
+    exceeds the number of positive weights, so an integer need above that
+    cap never qualifies and is not stored at all; it counts in N until its
+    deadline.  This assumes, as every subclass here does, that a need is
+    finite only when gamma_j > 0.
+
+    A step that stores no need within reach of N thus costs O(log n): heap
+    operations and one binary search at k = N.  Each need enters the lists
+    once, paying a memmove over the needs within reach of N only, and the
+    descent after it stops at its need.
 
     A subclass supplies ``_need``, which the engine calls once per step before
     anything else.  A subclass whose keys are not integer needs (Storey's
-    ratios) also sets ``_bound``.
+    ratios) also sets ``_bound``; its keys are not capped.
     """
 
     # None: a key qualifies at set size k when it is at most k.  Otherwise a
@@ -147,56 +168,94 @@ class _KStarStepUp(StreamProcedure):
     def __init__(self, weights, alpha):
         super().__init__(weights, alpha)
         self.deadlines: DeadlineSchedule | None = None
-        self._counted: list = []       # sorted needs of counted hypotheses
+        self._count = 0                 # N: number of counted hypotheses
+        self._clear = 0                 # no k in (k*, _clear] qualifies; integer needs
+        self._cap = weights.support_size if self._bound is None else math.inf
+        self._counted: list = []       # sorted needs of counted j, need within reach
         self._pending_needs: list = []  # sorted needs of pending hypotheses
         self._pending: list[int] = []   # their indices, in the same order
-        self._expiry: list = []         # heap of (d_j, j, need_j), pending j
+        self._waiting: list = []        # heap of (need_j, j): need above N when pushed
+        self._expired: set = set()      # waiting j past their deadline
+        self._expiry: list = []         # heap of (d_j, j, need_j), j not rejected on arrival
 
     def _need(self, value: float, t: int) -> float:
         raise NotImplementedError
 
     def _expire(self, t: int):
-        """Drop pending hypotheses whose deadline is before t."""
+        """Take the unrejected hypotheses whose deadline is before t out of
+        the count, and out of the lists or the waiting heap."""
         expiry, counted = self._expiry, self._counted
         needs, pending = self._pending_needs, self._pending
         while expiry and expiry[0][0] < t:
             _, j, need = heappop(expiry)
             if j in self.rejection_times:
                 continue
-            del counted[bisect_left(counted, need)]
-            # equal needs are ordered by index
-            pos = bisect_left(pending, j, bisect_left(needs, need), bisect_right(needs, need))
-            del needs[pos]
-            del pending[pos]
+            self._count -= 1
+            if need > self._cap:  # never stored
+                continue
+            lo = bisect_left(needs, need)
+            hi = bisect_right(needs, need, lo)
+            pos = bisect_left(pending, j, lo, hi)
+            if pos < hi and pending[pos] == j:
+                del counted[bisect_left(counted, need)]
+                del needs[pos]
+                del pending[pos]
+            else:
+                self._expired.add(j)  # still waiting: the drain skips it
+
+    def _drain(self, top):
+        """Move waiting needs at most ``top`` into the sorted lists.  The heap
+        pops equal needs by index, and every waiting j is older than any list
+        entry of its need, so the lists stay ordered by index within a need."""
+        waiting, expired = self._waiting, self._expired
+        counted, needs, pending = self._counted, self._pending_needs, self._pending
+        while waiting and waiting[0][0] <= top:
+            need, j = heappop(waiting)
+            if j in expired:
+                expired.remove(j)
+                continue
+            if need <= self._clear:  # the heap pops the smallest first
+                self._clear = need - 1
+            insort(counted, need)
+            pos = bisect_right(needs, need)
+            needs.insert(pos, need)
+            pending.insert(pos, j)
 
     def _advance(self, value: float, t: int) -> list:
         need = self._need(value, t)
         deadline = None if self.deadlines is None else self.deadlines.deadline(t)
         if self._expiry:
             self._expire(t)
-        counted, needs = self._counted, self._pending_needs
         k_star = self.k_star
         bound_of = self._bound
         bound = k_star if bound_of is None else bound_of(k_star)
         newly = []
         if need != math.inf:
-            insort(counted, need)
+            self._count += 1
             if need <= bound:
+                insort(self._counted, need)
+                self._clear = k_star
                 newly = [t]
             else:
-                pos = bisect_right(needs, need)
-                needs.insert(pos, need)
-                self._pending.insert(pos, t)
+                if need <= self._cap:
+                    heappush(self._waiting, (need, t))
                 if deadline is not None and deadline != math.inf:
                     heappush(self._expiry, (deadline, t, need))
-        k = len(counted)
-        while k > k_star:
-            b = k if bound_of is None else bound_of(k)
+        k = self._count
+        b = k if bound_of is None else bound_of(k)
+        if self._waiting and self._waiting[0][0] <= b:
+            self._drain(b)
+        counted, needs = self._counted, self._pending_needs
+        # every k in (k*, clear] is known not to satisfy count(k) >= k
+        lo = k_star if bound_of is not None else max(k_star, self._clear)
+        while k > lo:
             c = bisect_right(counted, b)
             if c >= k:
                 bound = b
                 break
             k = c
+            b = k if bound_of is None else bound_of(k)
+        self._clear = self._count
         if needs and needs[0] <= bound:
             pos = bisect_right(needs, bound)
             newly += self._pending[:pos]

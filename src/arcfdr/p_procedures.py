@@ -187,7 +187,11 @@ class OnlineStoreyBH(_KStarStepUpP):
             self.weights.gamma_max + self._over_lambda_mass + self.weights.tail_mass(t)
         ) / (1.0 - self.lam))
         if value <= self.lam and g > 0.0:
-            return value / (self.alpha * g)
+            ag = self.alpha * g
+            if ag == 0.0:
+                # alpha * gamma underflowed, as in minimal_k_pvalue
+                return 0.0 if value == 0.0 else math.inf
+            return value / ag
         return math.inf
 
     def _bound(self, k):

@@ -213,6 +213,13 @@ class TestConfigFile:
         with pytest.raises(SystemExit, match="p_from_z"):
             run_cli(["simulate", "--config", str(cfg)])
 
+    def test_bad_number_names_key_line_and_type(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("# sizes\nm = 2\nn = 1e3\n")
+        status, _, err = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 2
+        assert err == f"error: {cfg}:3: config key 'n' expects int, got '1e3'\n"
+
 
 class TestOracleCheck:
     def test_agreement(self):

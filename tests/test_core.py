@@ -15,6 +15,7 @@ from arcfdr.core import (
     is_self_consistent,
     minimal_k_evalue,
     minimal_k_pvalue,
+    _SortedIndices,
 )
 
 
@@ -49,6 +50,7 @@ class TestWeightSequence:
         assert w.tail_mass(0) == 1.0
         assert w.tail_mass(2) == 0.25
         assert w.gamma_max == 0.5
+        assert w.support_size == math.inf
 
     def test_uniform(self):
         w = WeightSequence.uniform_finite(4)
@@ -56,6 +58,7 @@ class TestWeightSequence:
         assert w.gamma(5) == 0.0
         assert w.tail_mass(1) == 0.75
         assert w.gamma_max == 0.25
+        assert w.support_size == 4
 
     def test_explicit(self):
         w = WeightSequence.explicit([0.5, 0.3])
@@ -63,6 +66,8 @@ class TestWeightSequence:
         assert w.gamma(3) == 0.0
         assert w.tail_mass(1) == 0.3
         assert w.gamma_max == 0.5
+        assert w.support_size == 2
+        assert WeightSequence.explicit([0.0, 0.5, 0.0]).support_size == 1
 
     def test_sum_over_one_rejected(self):
         with pytest.raises(InputError):
@@ -178,6 +183,12 @@ class TestRejectionSet:
     def test_index_below_one(self):
         with pytest.raises(InputError):
             RejectionSet((0,), 4)
+
+    def test_sorted_indices_checked_at_their_ends(self):
+        assert RejectionSet(_SortedIndices((1, 2, 4)), 4) == RejectionSet((1, 2, 4), 4)
+        for bad in ((0, 2), (2, 5)):
+            with pytest.raises(InputError):
+                RejectionSet(_SortedIndices(bad), 4)
 
     def test_empty_at_time_zero(self):
         r = RejectionSet((), 0)

@@ -277,6 +277,15 @@ class TestOnlineStoreyBH:
         assert proc.run([0.0, 0.9]).rejection_set().indices == ()
         assert proc.kstar_path == [0, 0]
 
+    def test_underflowing_alpha_gamma(self):
+        # alpha * gamma_t is 0 from t = 1071 while gamma_t > 0 up to t = 1074:
+        # as in minimal_k_pvalue, the ratio key is 0 for p = 0 and inf otherwise
+        w = WeightSequence.geometric(0.5)
+        p = [0.0 if t in (1060, 1071, 1074, 1078) else 0.3 for t in range(1, 1081)]
+        assert set(OnlineStoreyBH(w, 0.05).run(p).rejection_times) == {1060, 1071, 1074}
+        proc = OnlineStoreyBH(w, 0.05).run([0.01] * 1080)
+        assert proc.rejection_times == {1: 1, 2: 2, 3: 3, 4: 4}
+
     def test_all_above_lambda_no_boost(self):
         # pi0_hat >= 1 keeps Storey thresholds at or below plain BH's
         rng = np.random.default_rng(22)
