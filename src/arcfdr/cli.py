@@ -3,6 +3,9 @@ factors, adversarial sharpness runs, and oracle cross-checks.
 
 Config precedence: command-line flags > config file (flat key=value lines,
 `#` comments) > built-in defaults.
+
+Exit status: 0 on success, 1 for a bad score in `stream` or a solver
+failure in `boost-factor`, 2 for bad usage or configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ def _read_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
             cfg[key.strip().replace("-", "_")] = (value.strip(), lineno)
     return cfg
@@ -42,12 +45,12 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         for key, (value, lineno) in _read_config(path).items():
             where = f"{path}:{lineno}: config key {key!r}"
             if key not in defaults:
-                raise SystemExit(f"{where} is unknown")
+                raise ValueError(f"{where} is unknown")
             default = defaults[key]
             if isinstance(default, bool):
                 # bool("false") is True, so flags are read by name
                 if value.lower() not in _FLAGS:
-                    raise SystemExit(f"{where} must be true, false, 1 or 0, got {value!r}")
+                    raise ValueError(f"{where} must be true, false, 1 or 0, got {value!r}")
                 value = _FLAGS[value.lower()]
             elif default is not None:
                 try:
@@ -69,10 +72,10 @@ def _parse_grid(spec: str) -> list:
         return [float(spec)]
     parts = spec.split(":")
     if len(parts) != 3:
-        raise SystemExit(f"grid must be value or start:stop:step, got {spec!r}")
+        raise ValueError(f"grid must be value or start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
     if step <= 0:
-        raise SystemExit("grid step must be positive")
+        raise ValueError("grid step must be positive")
     out = []
     i = 0
     while True:
@@ -140,7 +143,7 @@ def cmd_stream(args) -> int:
     elif gspec.startswith("geometric:"):
         weights = WeightSequence.geometric(float(gspec.split(":", 1)[1]))
     else:
-        raise SystemExit(f"gamma must be uniform:K or geometric:q, got {gspec!r}")
+        raise ValueError(f"gamma must be uniform:K or geometric:q, got {gspec!r}")
     cls = OnlineEBH if cfg["kind"] == "e" else OnlineBH
     proc = cls(weights, float(cfg["alpha"]))
     for lineno, raw in enumerate(sys.stdin, start=1):
@@ -177,7 +180,7 @@ def cmd_boost_factor(args) -> int:
                 "gamma": 0.01, "s": 100, "lag": None, "delta": 3.0}
     cfg = _merge(args, defaults)
     if cfg["preset"] is not None and cfg["preset"] != "example":
-        raise SystemExit(f"unknown preset {cfg['preset']!r}")
+        raise ValueError(f"unknown preset {cfg['preset']!r}")
     if cfg["preset"] == "example":
         cases = [(v, s, lag, 0.05, 0.01, 3.0) for v, s, lag in _BOOST_PRESET]
     else:

@@ -25,6 +25,7 @@ from .core import (
     score_value,
     _SortedIndices,
 )
+from .metrics import rejection_counts
 
 
 class DeadlineSchedule:
@@ -54,7 +55,8 @@ class DeadlineSchedule:
 
 
 class StreamProcedure:
-    """Common stream state: k* path and first-rejection times."""
+    """Common stream state: t and the first-rejection times, from which the
+    rejection sets, k*_t = |R_t| and the k* path are read."""
 
     kind: ScoreKind
 
@@ -64,8 +66,6 @@ class StreamProcedure:
         self.weights = weights
         self.alpha = alpha
         self.t = 0
-        self.k_star = 0
-        self.kstar_path: list[int] = []  # kstar_path[t-1] = k*_t
         self.rejection_times: dict[int, int] = {}
         self._rejected_sorted: list[int] = []
         self._rejected_tuple: tuple | None = ()  # None: rebuild from the list
@@ -76,9 +76,20 @@ class StreamProcedure:
         rejects.  Raises before changing any state."""
         raise NotImplementedError
 
+    @property
+    def k_star(self) -> int:
+        """k*_t = |R_t|, which holds for every procedure here."""
+        return len(self.rejection_times)
+
+    @property
+    def kstar_path(self) -> list:
+        """k*_1, ..., k*_t as a list of ints, counted from the rejection
+        times on each read."""
+        return rejection_counts(self.rejection_times, self.t).tolist()
+
     def _feed(self, score) -> list:
-        """Advance one step and keep the books: rejection times, the sorted
-        rejections, and k*_t = |R_t|, which holds for every procedure here."""
+        """Advance one step and keep the books: the rejection times and the
+        sorted rejections."""
         t = self.t + 1
         new = self._advance(score_value(score, self.kind), t)
         self.t = t
@@ -87,8 +98,6 @@ class StreamProcedure:
                 self.rejection_times[i] = t
                 insort(self._rejected_sorted, i)
             self._rejected_tuple = None
-            self.k_star = len(self.rejection_times)
-        self.kstar_path.append(self.k_star)
         return new
 
     def step(self, score) -> RejectionSet:
@@ -127,33 +136,39 @@ class _KStarStepUp(StreamProcedure):
     A hypothesis past its deadline and not rejected is a frozen acceptance: it
     leaves the count for good.  A rejection stays counted, so k*_t = |R_t|.
 
+    The search reads count(k) only for k > k*_{t-1}, and every rejected key
+    qualifies there: an integer need is at most the k* it was rejected at,
+    and Storey's ratio at most that k* over a pi0_hat that never increases
+    since.  So count(k) = |R| + #{pending j : need_j within bound(k)}, and
+    the needs of rejected hypotheses are not stored.
+
     The satisfying set can have gaps, so the max is found by iterating
     k <- count(k) downward from N, the number of counted hypotheses: any valid
     k' <= k also satisfies k' <= count(k'), hence k' <= count(k), and the
     iteration cannot skip past the max fixpoint.  k* is nondecreasing in t,
     which bounds the descent from below.  After a search no k in (k*, N]
     qualifies, and count(k) can only grow where a need <= k enters the
-    lists, so the engine keeps a mark below which that still holds and stops
-    the next descent there.  Storey's keys qualify at a bound that moves with
-    pi0_hat, so its search always descends to k*.
+    pending list, so the engine keeps a mark below which that still holds
+    and stops the next descent there.  Storey's keys qualify at a bound that
+    moves with pi0_hat, so its search always descends to k*.
 
     The search reads count(k) only for k <= N, so a need above N cannot
     qualify yet.  It waits in a min-heap of (need, j) and is drained into the
-    sorted lists once N reaches it; the drain runs before every search
-    against N itself, waiting entries included.  Pending hypotheses (in the
-    lists, not rejected) are kept sorted by need, equal needs by index, and
-    popped once need <= k*.  A heap of finite deadlines takes expiring
-    hypotheses out of N: out of the lists when they are there, and by a
-    marker that the drain skips when they are still waiting.  N never
-    exceeds the number of positive weights, so an integer need above that
-    cap never qualifies and is not stored at all; it counts in N until its
-    deadline.  This assumes, as every subclass here does, that a need is
-    finite only when gamma_j > 0.
+    pending list once N reaches it; the drain runs before every search
+    against N itself, waiting entries included.  Pending hypotheses (drained
+    or stored on arrival, not rejected) are kept sorted by need, equal needs
+    by index, and popped once need <= k*.  A heap of finite deadlines takes
+    expiring hypotheses out of N: out of the pending list when they are
+    there, and by a marker that the drain skips when they are still
+    waiting.  N never exceeds the number of positive weights, so an integer
+    need above that cap never qualifies and is not stored at all; it counts
+    in N until its deadline.  This assumes, as every subclass here does,
+    that a need is finite only when gamma_j > 0.
 
     A step that stores no need within reach of N thus costs O(log n): heap
-    operations and one binary search at k = N.  Each need enters the lists
-    once, paying a memmove over the needs within reach of N only, and the
-    descent after it stops at its need.
+    operations and one binary search at k = N.  Each need enters the pending
+    list at most once, paying a memmove over the pending needs within reach
+    of N only, and the descent after it stops at its need.
 
     A subclass supplies ``_need``, which the engine calls once per step before
     anything else.  A subclass whose keys are not integer needs (Storey's
@@ -171,7 +186,6 @@ class _KStarStepUp(StreamProcedure):
         self._count = 0                 # N: number of counted hypotheses
         self._clear = 0                 # no k in (k*, _clear] qualifies; integer needs
         self._cap = weights.support_size if self._bound is None else math.inf
-        self._counted: list = []       # sorted needs of counted j, need within reach
         self._pending_needs: list = []  # sorted needs of pending hypotheses
         self._pending: list[int] = []   # their indices, in the same order
         self._waiting: list = []        # heap of (need_j, j): need above N when pushed
@@ -183,8 +197,8 @@ class _KStarStepUp(StreamProcedure):
 
     def _expire(self, t: int):
         """Take the unrejected hypotheses whose deadline is before t out of
-        the count, and out of the lists or the waiting heap."""
-        expiry, counted = self._expiry, self._counted
+        the count, and out of the pending list or the waiting heap."""
+        expiry = self._expiry
         needs, pending = self._pending_needs, self._pending
         while expiry and expiry[0][0] < t:
             _, j, need = heappop(expiry)
@@ -197,18 +211,17 @@ class _KStarStepUp(StreamProcedure):
             hi = bisect_right(needs, need, lo)
             pos = bisect_left(pending, j, lo, hi)
             if pos < hi and pending[pos] == j:
-                del counted[bisect_left(counted, need)]
                 del needs[pos]
                 del pending[pos]
             else:
                 self._expired.add(j)  # still waiting: the drain skips it
 
     def _drain(self, top):
-        """Move waiting needs at most ``top`` into the sorted lists.  The heap
+        """Move waiting needs at most ``top`` into the pending list.  The heap
         pops equal needs by index, and every waiting j is older than any list
-        entry of its need, so the lists stay ordered by index within a need."""
+        entry of its need, so the list stays ordered by index within a need."""
         waiting, expired = self._waiting, self._expired
-        counted, needs, pending = self._counted, self._pending_needs, self._pending
+        needs, pending = self._pending_needs, self._pending
         while waiting and waiting[0][0] <= top:
             need, j = heappop(waiting)
             if j in expired:
@@ -216,7 +229,6 @@ class _KStarStepUp(StreamProcedure):
                 continue
             if need <= self._clear:  # the heap pops the smallest first
                 self._clear = need - 1
-            insort(counted, need)
             pos = bisect_right(needs, need)
             needs.insert(pos, need)
             pending.insert(pos, j)
@@ -226,14 +238,13 @@ class _KStarStepUp(StreamProcedure):
         deadline = None if self.deadlines is None else self.deadlines.deadline(t)
         if self._expiry:
             self._expire(t)
-        k_star = self.k_star
+        k_star = len(self.rejection_times)  # k*_{t-1}
         bound_of = self._bound
         bound = k_star if bound_of is None else bound_of(k_star)
         newly = []
         if need != math.inf:
             self._count += 1
             if need <= bound:
-                insort(self._counted, need)
                 self._clear = k_star
                 newly = [t]
             else:
@@ -245,11 +256,12 @@ class _KStarStepUp(StreamProcedure):
         b = k if bound_of is None else bound_of(k)
         if self._waiting and self._waiting[0][0] <= b:
             self._drain(b)
-        counted, needs = self._counted, self._pending_needs
+        needs = self._pending_needs
+        rejected = k_star + len(newly)  # each qualifies at every k searched
         # every k in (k*, clear] is known not to satisfy count(k) >= k
         lo = k_star if bound_of is not None else max(k_star, self._clear)
         while k > lo:
-            c = bisect_right(counted, b)
+            c = rejected + bisect_right(needs, b)
             if c >= k:
                 bound = b
                 break

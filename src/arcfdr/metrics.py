@@ -79,24 +79,27 @@ class FdpPath:
         return float(self.values[t - 1])
 
 
-def fdp_path_from_rejection_times(rejection_times: dict, truth: GroundTruth,
-                                  n: int) -> FdpPath:
-    """FDP path of an ARC run from its first-rejection times.
+def rejection_counts(rejection_times: dict, n: int) -> np.ndarray:
+    """|R_t| for t = 1..n from the first-rejection times of an ARC run.
 
     Nestedness makes the rejection history equivalent to the map
-    index -> first rejection time, so per-step counts reduce to cumulative
-    sums of two indicator arrays.
+    index -> first rejection time, so |R_t| is the number of times <= t.
     """
-    rej_all = np.zeros(n + 1, dtype=np.int64)
-    rej_null = np.zeros(n + 1, dtype=np.int64)
-    for i, t in rejection_times.items():
-        if not (1 <= t <= n):
-            raise InputError(f"rejection time {t} outside 1..{n}")
-        rej_all[t] += 1
-        if truth.is_null(i):
-            rej_null[t] += 1
-    totals = np.cumsum(rej_all[1:])
-    falses = np.cumsum(rej_null[1:])
+    times = np.fromiter(rejection_times.values(), dtype=np.int64,
+                        count=len(rejection_times))
+    if times.size and not (1 <= times.min() and times.max() <= n):
+        bad = times[(times < 1) | (times > n)][0]
+        raise InputError(f"rejection time {bad} outside 1..{n}")
+    return np.cumsum(np.bincount(times, minlength=n + 1)[1:])
+
+
+def fdp_path_from_rejection_times(rejection_times: dict, truth: GroundTruth,
+                                  n: int) -> FdpPath:
+    """FDP path of an ARC run from its first-rejection times: the counts of
+    all rejections and of null rejections up to each t."""
+    totals = rejection_counts(rejection_times, n)
+    falses = rejection_counts(
+        {i: t for i, t in rejection_times.items() if truth.is_null(i)}, n)
     return FdpPath(falses / np.maximum(totals, 1))
 
 

@@ -127,6 +127,61 @@ def step_up_reference(deadlines, qualifies):
     return rejection_times, kstar_path
 
 
+def lord_levels(p, weights, alpha: float, w0: float | None = None):
+    """LORD levels and rejection times from the formula of ``Lord``,
+
+        alpha_t = gamma_t w0 + (alpha - w0) gamma_{t - tau_1} 1{tau_1 < t}
+                  + alpha sum_{j >= 2, tau_j < t} gamma_{t - tau_j},
+
+    rescanning the rejection times tau_j at every t; H_t is rejected iff
+    P_t <= alpha_t.  weights is a WeightSequence, w0 defaults to alpha / 2.
+    Returns (levels, rejection_times).
+    """
+    w0 = alpha / 2.0 if w0 is None else w0
+    p = [float(x) for x in p]
+    levels: list[float] = []
+    for t in range(1, len(p) + 1):
+        tau = [i for i in range(1, t) if p[i - 1] <= levels[i - 1]]
+        level = weights.gamma(t) * w0
+        if tau:
+            level += (alpha - w0) * weights.gamma(t - tau[0])
+            level += alpha * math.fsum(weights.gamma(t - s) for s in tau[1:])
+        levels.append(level)
+    return levels, {t: t for t in range(1, len(p) + 1) if p[t - 1] <= levels[t - 1]}
+
+
+def saffron_levels(p, weights, alpha: float, lam: float = 0.5,
+                   w0: float | None = None):
+    """SAFFRON levels and rejection times from the formula of ``Saffron``,
+
+        alpha_t = min(lambda, w0 gamma_{t - C_{0,t}}
+                      + ((1-lambda) alpha - w0) gamma_{t - tau_1 - C_{1,t}} 1{tau_1 < t}
+                      + (1-lambda) alpha sum_{j>=2, tau_j < t} gamma_{t - tau_j - C_{j,t}}),
+
+    with tau_0 = 0 and C_{j,t} the number of candidates (P_i <= lambda) with
+    tau_j < i < t, both rescanned at every t; H_t is rejected iff
+    P_t <= alpha_t.  weights is a WeightSequence, w0 defaults to
+    (1 - lambda) alpha / 2.  Returns (levels, rejection_times).
+    """
+    cap = (1.0 - lam) * alpha
+    w0 = cap / 2.0 if w0 is None else w0
+    p = [float(x) for x in p]
+    levels: list[float] = []
+    for t in range(1, len(p) + 1):
+        candidates = [i for i in range(1, t) if p[i - 1] <= lam]
+        tau = [i for i in range(1, t) if p[i - 1] <= levels[i - 1]]
+
+        def gamma_after(start):
+            return weights.gamma(t - start - sum(1 for i in candidates if i > start))
+
+        raw = w0 * gamma_after(0)
+        if tau:
+            raw += (cap - w0) * gamma_after(tau[0])
+            raw += cap * math.fsum(gamma_after(s) for s in tau[1:])
+        levels.append(min(lam, raw))
+    return levels, {t: t for t in range(1, len(p) + 1) if p[t - 1] <= levels[t - 1]}
+
+
 def max_self_consistent_fdp(scores, weights, alpha: float, truth: GroundTruth,
                             kind) -> float:
     """Max FDP over all self-consistent subsets, by exhaustive enumeration.

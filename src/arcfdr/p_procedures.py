@@ -218,7 +218,6 @@ class Lord(StreamProcedure):
         self.w0 = alpha / 2.0 if w0 is None else float(w0)
         if not (0.0 < self.w0 <= alpha):
             raise ConfigError(f"w0={self.w0} outside (0, alpha]")
-        self._tau: list[int] = []
         self.levels: list[float] = []
         self.spent = 0.0
         # geometric weights admit an O(1) recursion for the spending sums
@@ -230,8 +229,9 @@ class Lord(StreamProcedure):
         if self._geom_q is not None:
             first, rest = self._sum_first, self._sum_rest
         else:
-            first = self.weights.gamma(t - self._tau[0]) if self._tau else 0.0
-            rest = math.fsum(self.weights.gamma(t - tau) for tau in self._tau[1:])
+            tau = self._rejected_sorted  # LORD rejects on arrival only
+            first = self.weights.gamma(t - tau[0]) if tau else 0.0
+            rest = math.fsum(self.weights.gamma(t - tau_j) for tau_j in tau[1:])
         return self.weights.gamma(t) * self.w0 + (self.alpha - self.w0) * first + self.alpha * rest
 
     def _advance(self, value, t):
@@ -239,19 +239,17 @@ class Lord(StreamProcedure):
             q = self._geom_q
             self._sum_first *= q
             self._sum_rest *= q
-            if self._tau and self._tau[-1] == t - 1:
+            tau = self._rejected_sorted
+            if tau and tau[-1] == t - 1:
                 g1 = self.weights.gamma(1)
-                if len(self._tau) == 1:
+                if len(tau) == 1:
                     self._sum_first += g1
                 else:
                     self._sum_rest += g1
         level = self._level(t)
         self.levels.append(level)
         self.spent += level
-        if value <= level:
-            self._tau.append(t)
-            return [t]
-        return []
+        return [t] if value <= level else []
 
     def condition_slack(self) -> float:
         """alpha * (|R_t| v 1) - sum_{i<=t} alpha_i; nonnegative when valid."""
@@ -281,7 +279,6 @@ class Saffron(StreamProcedure):
         self.w0 = cap / 2.0 if w0 is None else float(w0)
         if not (0.0 < self.w0 <= cap):
             raise ConfigError(f"w0={self.w0} outside (0, (1-lambda)*alpha]")
-        self._tau: list[int] = []
         self._cand_after: list[int] = []  # candidates strictly after each tau_j
         self._cand_total = 0
         self.levels: list[float] = []
@@ -297,7 +294,8 @@ class Saffron(StreamProcedure):
         else:
             base = self.weights.gamma(t - self._cand_total)
             first = rest = 0.0
-            for j, tau in enumerate(self._tau):
+            # SAFFRON rejects on arrival only: the rejection times are sorted
+            for j, tau in enumerate(self._rejected_sorted):
                 g = self.weights.gamma(t - tau - self._cand_after[j])
                 if j == 0:
                     first = g
@@ -314,15 +312,13 @@ class Saffron(StreamProcedure):
         if value > self.lam:
             self.discounted_spend += level / (1.0 - self.lam)
         rejected = value <= level
-        if rejected:
-            self._tau.append(t)
-            self._cand_after.append(0)
         is_candidate = value <= self.lam
         if is_candidate:
             self._cand_total += 1
-            for j in range(len(self._cand_after)):
-                if self._tau[j] < t:
-                    self._cand_after[j] += 1
+            for j in range(len(self._cand_after)):  # every tau_j < t
+                self._cand_after[j] += 1
+        if rejected:
+            self._cand_after.append(0)
         if self._geom_q is not None:
             # indices t - tau_j - C_{j,t} advance only on non-candidate steps
             q = self._geom_q
@@ -330,9 +326,10 @@ class Saffron(StreamProcedure):
                 self._sum_w0 *= q
                 self._sum_first *= q
                 self._sum_rest *= q
-            if self._tau and self._tau[-1] == t:
+            if rejected:
                 g1 = self.weights.gamma(1)
-                if len(self._tau) == 1:
+                # t is recorded after this step, so the list holds tau_j < t
+                if not self._rejected_sorted:
                     self._sum_first += g1
                 else:
                     self._sum_rest += g1

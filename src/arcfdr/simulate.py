@@ -23,7 +23,12 @@ from .boosting import (
 )
 from .core import ConfigError, WeightSequence
 from .e_procedures import ELond, OnlineEBH
-from .metrics import GroundTruth, fdp_path_from_rejection_times, power
+from .metrics import (
+    GroundTruth,
+    fdp_path_from_rejection_times,
+    power,
+    rejection_counts,
+)
 from .p_procedures import (
     Lond,
     Lord,
@@ -154,11 +159,15 @@ class ProcedureRun:
     name: str
     n: int
     rejection_times: dict
-    kstar_path: list
 
     def rejection_counts(self) -> np.ndarray:
         """|R_t| for t = 1..n, which is the k* path for every procedure."""
-        return np.asarray(self.kstar_path, dtype=np.int64)
+        return rejection_counts(self.rejection_times, self.n)
+
+    @property
+    def kstar_path(self) -> list:
+        """k*_1, ..., k*_n as a list of ints, counted on each read."""
+        return self.rejection_counts().tolist()
 
     @property
     def final_rejections(self) -> tuple:
@@ -217,7 +226,7 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
         proc = Saffron(weights, alpha, cfg.lam).run(trial.pvalues)
     else:
         raise ConfigError(f"unknown procedure {name!r}")
-    return ProcedureRun(name, n, dict(proc.rejection_times), list(proc.kstar_path))
+    return ProcedureRun(name, n, dict(proc.rejection_times))
 
 
 def run_trials(cfg: GaussianSetupConfig, procedures, cache: dict | None = None):

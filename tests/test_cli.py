@@ -36,8 +36,13 @@ class TestParseGrid:
         assert len(got) == 9 and got[-1] == 0.9
 
     def test_bad_step(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="^grid step must be positive$"):
             _parse_grid("0.1:0.9:0")
+
+    def test_bad_grid_exits_2(self):
+        status, out, err = run_cli(["simulate", "--pi-a", "0.1:0.9"])
+        assert status == 2 and out == ""
+        assert err == "error: grid must be value or start:stop:step, got '0.1:0.9'\n"
 
 
 class TestStream:
@@ -87,8 +92,10 @@ class TestStream:
         assert status == 0 and out == ""
 
     def test_bad_gamma_spec(self):
-        with pytest.raises(SystemExit):
-            run_cli(["stream", "--gamma", "harmonic:3"], stdin_text="")
+        status, out, err = run_cli(["stream", "--gamma", "harmonic:3"], stdin_text="")
+        assert status == 2 and out == ""
+        assert err == ("error: gamma must be uniform:K or geometric:q, "
+                       "got 'harmonic:3'\n")
 
 
 class TestBoostFactor:
@@ -115,8 +122,9 @@ class TestBoostFactor:
         assert abs(b - 3.071) <= 0.01
 
     def test_unknown_preset(self):
-        with pytest.raises(SystemExit):
-            run_cli(["boost-factor", "--preset", "nope"])
+        status, out, err = run_cli(["boost-factor", "--preset", "nope"])
+        assert status == 2 and out == ""
+        assert err == "error: unknown preset 'nope'\n"
 
     def test_lag_on_non_local_variant_fails(self):
         status, out, err = run_cli(["boost-factor", "--variant", "minus",
@@ -186,14 +194,16 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("bogus=1\n")
-        with pytest.raises(SystemExit):
-            run_cli(["simulate", "--config", str(cfg)])
+        status, out, err = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 2 and out == ""
+        assert err == f"error: {cfg}:1: config key 'bogus' is unknown\n"
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("just a line\n")
-        with pytest.raises(SystemExit):
-            run_cli(["simulate", "--config", str(cfg)])
+        status, out, err = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 2 and out == ""
+        assert err == f"error: {cfg}:1: expected key=value, got 'just a line\\n'\n"
 
     @pytest.mark.parametrize("text, flag", [("false", False), ("False", False), ("0", False),
                                             ("true", True), ("TRUE", True), ("1", True)])
@@ -210,8 +220,10 @@ class TestConfigFile:
     def test_bad_boolean_names_key(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("p_from_z = no\n")
-        with pytest.raises(SystemExit, match="p_from_z"):
-            run_cli(["simulate", "--config", str(cfg)])
+        status, out, err = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 2 and out == ""
+        assert err == (f"error: {cfg}:1: config key 'p_from_z' must be true, "
+                       "false, 1 or 0, got 'no'\n")
 
     def test_bad_number_names_key_line_and_type(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -203,3 +204,35 @@ class TestEToad:
         toad = EToad(WeightSequence.geometric(0.9), 0.1, sched)
         with pytest.raises(Exception):
             toad.step(1.0)
+
+
+class TestDerivedHistory:
+    """k* and the k* path are read from the rejection times, not stored."""
+
+    def test_read_only(self):
+        proc = OnlineEBH(WeightSequence.uniform_finite(3), 0.5).run([100.0])
+        with pytest.raises(AttributeError):
+            proc.k_star = 5
+        with pytest.raises(AttributeError):
+            proc.kstar_path = [5]
+        assert proc.k_star == 1 and proc.kstar_path == [1]
+
+    def test_path_is_json_ints(self):
+        e = 1.0 / (3 * (0.1 * (1 / 3)))  # need exactly 3
+        proc = OnlineEBH(WeightSequence.uniform_finite(3), 0.1).run([e] * 3)
+        assert json.dumps(proc.kstar_path) == "[0, 0, 3]"
+        assert json.dumps(OnlineEBH(WeightSequence.uniform_finite(3), 0.1).kstar_path) == "[]"
+
+    def test_path_continues_across_runs(self):
+        rng = np.random.default_rng(13)
+        w = WeightSequence.geometric(0.99)
+        z = rng.standard_normal(300) + 4.0 * (rng.random(300) < 0.2)
+        e = list(np.exp(4.0 * z - 8.0))
+        a, b = e[:150], e[150:]
+        deadlines = DeadlineSchedule.explicit([t + 7 for t in range(1, 301)])
+        whole, split = EToad(w, 0.2, deadlines), EToad(w, 0.2, deadlines)
+        whole.run(a + b)
+        split.run(a).run(b)
+        assert split.kstar_path == whole.kstar_path
+        assert split.rejection_times == whole.rejection_times
+        assert split.k_star == whole.kstar_path[-1] > 0

@@ -223,7 +223,8 @@ def test_waiting_needs_drain_once_the_count_reaches_them():
     e = e_with_need(3, alpha, g)
     proc.step(e)
     proc.step(e)
-    assert sorted(proc._waiting) == [(3, 1), (3, 2)] and proc._counted == []
+    assert sorted(proc._waiting) == [(3, 1), (3, 2)]
+    assert proc._pending_needs == [] and proc.k_star == 0
     assert proc.step(e).indices == (1, 2, 3)
     assert proc._waiting == [] and proc._count == 3
 
@@ -262,7 +263,8 @@ def test_need_above_the_cap_only_counts_until_its_deadline():
     w = WeightSequence.uniform_finite(K)
     proc = EToad(w, alpha, DeadlineSchedule.explicit([2, math.inf, math.inf]))
     proc.step(e_with_need(3, alpha, w.gamma(1)))
-    assert proc._count == 1 and proc._waiting == [] and proc._counted == []
+    assert proc._count == 1 and proc._waiting == []
+    assert proc._pending_needs == [] and proc.k_star == 0
     proc.step(e_with_need(2, alpha, w.gamma(2)))
     assert proc._count == 2 and proc._pending == [2]
     proc.step(math.inf)  # gamma_3 = 0: never counted
@@ -288,10 +290,10 @@ def test_sorted_lists_hold_only_needs_within_the_count():
     for chunk in np.split(e, 4):
         proc.run(chunk)
         N = proc._count
-        assert proc._counted[-1] <= N
+        assert proc.k_star <= N
         assert all(need <= N for need in proc._pending_needs)
         assert all(need > N for need, _ in proc._waiting)
         if proc.t < n:
             assert proc._waiting
     # most e-values need more than K = n rejections and were never stored
-    assert proc.k_star > 0 and len(proc._counted) < N // 10
+    assert proc.k_star > 0 and proc.k_star + len(proc._pending_needs) < N // 10

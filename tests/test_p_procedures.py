@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcfdr.core import (
@@ -14,7 +14,7 @@ from arcfdr.core import (
     is_self_consistent,
 )
 from arcfdr.e_procedures import DeadlineSchedule
-from arcfdr.oracles import offline_bh, offline_storey_bh
+from arcfdr.oracles import lord_levels, offline_bh, offline_storey_bh, saffron_levels
 from arcfdr.p_procedures import (
     Lond,
     Lord,
@@ -365,6 +365,54 @@ class TestSaffron:
         w = WeightSequence.geometric(0.9)
         with pytest.raises(ConfigError):
             Saffron(w, 0.1, lam=1.0)
+
+
+@st.composite
+def alpha_spending_streams(draw):
+    """(alpha, weights, p) with n <= 30.  Geometric weights take the O(1)
+    recursions of LORD and SAFFRON, explicit ones (zeros included) the
+    generic rescans.  Many small p-values make several rejections common,
+    and p = lambda tests the candidate boundary."""
+    alpha = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        weights = WeightSequence.geometric(draw(st.sampled_from([0.5, 0.9, 0.99])))
+    else:
+        weights = WeightSequence.explicit(
+            [draw(st.sampled_from([0.0, 1.0 / n, 0.5 / n, 0.1 / n])) for _ in range(n)])
+    p = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.05),
+                                st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0])),
+                      min_size=n, max_size=n))
+    return alpha, weights, p
+
+
+def assert_matches_levels(proc, p, ref_levels, ref_times):
+    """Levels within rounding of the formula, and the same rejections, at
+    every t.  The recursions round differently from the formula, so a
+    p-value within that rounding of its level could go either way."""
+    assume(not any(0.0 < abs(x - lv) <= 1e-9 * lv for x, lv in zip(p, ref_levels)))
+    for t, x in enumerate(p, start=1):
+        proc.step(x)
+        assert math.isclose(proc.levels[t - 1], ref_levels[t - 1], rel_tol=1e-9)
+        assert proc.rejection_times == {i: s for i, s in ref_times.items() if s <= t}
+
+
+@given(alpha_spending_streams(), st.sampled_from([None, 0.1, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_lord_matches_its_formula(stream, w0_share):
+    alpha, w, p = stream
+    w0 = None if w0_share is None else w0_share * alpha
+    assert_matches_levels(Lord(w, alpha, w0), p, *lord_levels(p, w, alpha, w0))
+
+
+@given(alpha_spending_streams(), st.sampled_from([0.25, 0.5, 0.8]),
+       st.sampled_from([None, 0.1, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_saffron_matches_its_formula(stream, lam, w0_share):
+    alpha, w, p = stream
+    w0 = None if w0_share is None else w0_share * (1.0 - lam) * alpha
+    assert_matches_levels(Saffron(w, alpha, lam, w0), p,
+                          *saffron_levels(p, w, alpha, lam, w0))
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),

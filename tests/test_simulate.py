@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from arcfdr.simulate import (
     E_PROCEDURES,
     GaussianSetupConfig,
     P_PROCEDURES,
+    ProcedureRun,
     generate_adversarial_trial,
     generate_gaussian_trial,
     run_adversarial,
@@ -124,6 +126,14 @@ class TestRunTrials:
         runs, _ = run_trials(cfg, ["oe-bh", "oe-bh-boost"], cache=cache)
         for base, boost in zip(runs["oe-bh"], runs["oe-bh-boost"]):
             assert set(base.rejection_times) <= set(boost.rejection_times)
+
+    def test_procedure_run_derives_its_path(self):
+        run = ProcedureRun("obh", 5, {2: 2, 4: 4, 1: 4})
+        assert run.kstar_path == [0, 1, 1, 3, 3]
+        assert json.dumps(run.kstar_path) == "[0, 1, 1, 3, 3]"
+        assert run.rejection_counts().tolist() == run.kstar_path
+        with pytest.raises(AttributeError):
+            run.kstar_path = []
 
     def test_rejection_counts_monotone(self):
         cfg = GaussianSetupConfig(n=200, batch_size=20, m=2, pi_a=0.3, seed=14)
