@@ -20,6 +20,7 @@ CSV_COLUMNS = ("procedure", "pi_a", "mu_a", "q", "alpha", "metric", "value",
                "stderr", "n", "m", "seed")
 
 _FLAGS = {"true": True, "1": True, "false": False, "0": False}
+_KINDS = ("p", "e")
 
 
 def _read_config(path: str) -> dict:
@@ -37,8 +38,10 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; argparse leaves unset flags as None."""
+def _merge(args: argparse.Namespace, defaults: dict, choices=None) -> dict:
+    """flags > config file > defaults; argparse leaves unset flags as None.
+    A file value of a key in choices must be one of the values listed."""
+    choices = choices or {}
     merged = dict(defaults)
     if getattr(args, "config", None):
         path = args.config
@@ -58,6 +61,9 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
                 except ValueError:
                     raise ValueError(f"{where} expects {type(default).__name__}, "
                                      f"got {value!r}") from None
+            if key in choices and value not in choices[key]:
+                raise ValueError(f"{where} must be {' or '.join(choices[key])}, "
+                                 f"got {value!r}")
             merged[key] = value
     for key in defaults:
         value = getattr(args, key, None)
@@ -136,7 +142,7 @@ def cmd_stream(args) -> int:
     from .p_procedures import OnlineBH
 
     defaults = {"kind": "e", "alpha": 0.05, "gamma": "geometric:0.99"}
-    cfg = _merge(args, defaults)
+    cfg = _merge(args, defaults, choices={"kind": _KINDS})
     gspec = str(cfg["gamma"])
     if gspec.startswith("uniform:"):
         weights = WeightSequence.uniform_finite(int(gspec.split(":", 1)[1]))
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="evaluate scores from stdin, one per line")
     p.add_argument("--config")
-    p.add_argument("--kind", choices=("p", "e"))
+    p.add_argument("--kind", choices=_KINDS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--gamma", help="uniform:K or geometric:q")
     p.set_defaults(fn=cmd_stream)

@@ -76,6 +76,8 @@ class FdpPath:
         return float(self.values[: K].max()) if self.values.size else 0.0
 
     def at(self, t: int) -> float:
+        if not (1 <= t <= self.values.size):
+            raise InputError(f"t={t} outside 1..{self.values.size}")
         return float(self.values[t - 1])
 
 
@@ -149,6 +151,11 @@ def estimate_metrics(fdp_paths, power_values=None, K: int | None = None,
     m = len(paths)
     if m < 2:
         raise InputError("need at least 2 trials for standard errors")
+    power_values, rejection_counts = (
+        None if xs is None else list(xs) for xs in (power_values, rejection_counts))
+    for label, xs in (("power_values", power_values), ("rejection_counts", rejection_counts)):
+        if xs is not None and len(xs) != m:
+            raise InputError(f"{len(xs)} {label} for {m} FDP paths")
 
     def mean_se(xs):
         xs = np.asarray(xs, dtype=float)
@@ -166,5 +173,5 @@ def estimate_metrics(fdp_paths, power_values=None, K: int | None = None,
         stops = [stopping_rule.stop_time(c) for c in rejection_counts]
         out["stop_fdr"] = mean_se([p.at(t) for p, t in zip(paths, stops)])
     if power_values is not None:
-        out["power"] = mean_se(list(power_values))
+        out["power"] = mean_se(power_values)
     return out

@@ -279,8 +279,8 @@ class Saffron(StreamProcedure):
         self.w0 = cap / 2.0 if w0 is None else float(w0)
         if not (0.0 < self.w0 <= cap):
             raise ConfigError(f"w0={self.w0} outside (0, (1-lambda)*alpha]")
-        self._cand_after: list[int] = []  # candidates strictly after each tau_j
-        self._cand_total = 0
+        self._cand_total = 0  # candidates so far
+        self._cand_at: list[int] = []  # the candidate total at each tau_j
         self.levels: list[float] = []
         self.discounted_spend = 0.0  # sum alpha_i 1{P_i > lambda} / (1 - lambda)
         self._geom_q = weights._q if weights.description == "geometric" else None
@@ -292,11 +292,12 @@ class Saffron(StreamProcedure):
         if self._geom_q is not None:
             base, first, rest = self._sum_w0, self._sum_first, self._sum_rest
         else:
-            base = self.weights.gamma(t - self._cand_total)
+            total = self._cand_total
+            base = self.weights.gamma(t - total)
             first = rest = 0.0
             # SAFFRON rejects on arrival only: the rejection times are sorted
             for j, tau in enumerate(self._rejected_sorted):
-                g = self.weights.gamma(t - tau - self._cand_after[j])
+                g = self.weights.gamma(t - tau - (total - self._cand_at[j]))  # C_{j,t}
                 if j == 0:
                     first = g
                 else:
@@ -315,10 +316,9 @@ class Saffron(StreamProcedure):
         is_candidate = value <= self.lam
         if is_candidate:
             self._cand_total += 1
-            for j in range(len(self._cand_after)):  # every tau_j < t
-                self._cand_after[j] += 1
         if rejected:
-            self._cand_after.append(0)
+            # a rejected p is a candidate, so the total already counts tau_j
+            self._cand_at.append(self._cand_total)
         if self._geom_q is not None:
             # indices t - tau_j - C_{j,t} advance only on non-candidate steps
             q = self._geom_q

@@ -45,6 +45,9 @@ E_PROCEDURES = ("oe-bh", "e-lond", "oe-bh-boost", "oe-bh-boost-minus",
 P_PROCEDURES = ("obh", "lond", "r-lond", "obr", "osbh", "lord", "saffron")
 ALL_PROCEDURES = E_PROCEDURES + P_PROCEDURES
 
+_GLOBAL_BOOSTS = {"oe-bh-boost": TruncationVariant.PLUS,
+                  "oe-bh-boost-minus": TruncationVariant.MINUS}
+
 
 @dataclass(frozen=True)
 class GaussianSetupConfig:
@@ -113,29 +116,19 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
     return GaussianTrial(z, x, evalues, pvalues, truth)
 
 
-def _boost_factors(cfg, variant, ts, lag_kstars=None, cache=None):
-    """b_t for each index in ts, memoized per (configuration, t, k0).
-
-    The misses of one lag k0 are solved in one batched call, on a bracket
-    table per (mu_a, alpha, q, n) that the cache keeps for later calls.
-    """
+def _boost_factors(cfg, variant, ts, k0=None, cache=None):
+    """b_t for a run ts of consecutive indices under one lag k0: one batched
+    solve on the setup's bracket table, memoized as one cache entry."""
     cache = {} if cache is None else cache
-    k0s = [None] * len(ts) if lag_kstars is None else [int(k) for k in lag_kstars]
-    keys = [(variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, int(t), k0)
-            for t, k0 in zip(ts, k0s)]
-    misses = {}  # k0 -> keys of the indices to solve
-    for key, k0 in zip(keys, k0s):
-        if key not in cache:
-            misses.setdefault(k0, []).append(key)
-    if misses:
-        model = GaussianLRModel(cfg.mu_a)
-        table = _boost_table(cfg, cache)
-        for k0, group in misses.items():
-            gammas = [cfg.q ** (t - 1) * (1.0 - cfg.q) for (*_, t, _) in group]
-            b = solve_boost_factors(model, variant, cfg.alpha, gammas, cfg.n,
-                                    lag_kstar=k0, table=table)
-            cache.update(zip(group, b.tolist()))
-    return np.array([cache[key] for key in keys])
+    key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, ts[0], len(ts), k0)
+    if key not in cache:
+        # Python floats: numpy's power on an int64 can differ in the last ulp
+        gammas = [cfg.q ** (t - 1) * (1.0 - cfg.q) for t in ts]
+        b = solve_boost_factors(GaussianLRModel(cfg.mu_a), variant, cfg.alpha, gammas,
+                                cfg.n, lag_kstar=k0, table=_boost_table(cfg, cache))
+        b.flags.writeable = False
+        cache[key] = b
+    return cache[key]
 
 
 def _boost_table(cfg, cache):
@@ -178,22 +171,17 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
                    cache: dict | None) -> ProcedureRun:
     weights = WeightSequence.geometric(cfg.q)
     alpha, n = cfg.alpha, cfg.n
-    ts = np.arange(1, n + 1)
 
     if name == "oe-bh":
         proc = OnlineEBH(weights, alpha).run(trial.evalues)
     elif name == "e-lond":
         proc = ELond(weights, alpha).run(trial.evalues)
-    elif name == "oe-bh-boost":
-        # plus-cutoff boosting: feeding b_t * E_t is equivalent because the
-        # pass-through region sits below every rejection threshold at s = n
-        b = _boost_factors(cfg, TruncationVariant.PLUS, ts, cache=cache)
-        proc = OnlineEBH(weights, alpha).run(b * trial.evalues)
-    elif name == "oe-bh-boost-minus":
-        # minus truncation at s = n only zeroes values whose need exceeds
-        # n >= k*_t and moves the rest down to a grid value of the same need,
-        # so it changes no decision of online e-BH
-        b = _boost_factors(cfg, TruncationVariant.MINUS, ts, cache=cache)
+    elif name in _GLOBAL_BOOSTS:
+        # feeding b_t * E_t to online e-BH is exact at s = n.  plus: the pass-
+        # through region sits below every rejection threshold.  minus: truncation
+        # only zeroes values whose need exceeds n >= k*_t and moves the rest down
+        # to a grid value of the same need, so it changes no decision
+        b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], range(1, n + 1), cache=cache)
         proc = OnlineEBH(weights, alpha).run(b * trial.evalues)
     elif name == "oe-bh-boost-local":
         # lag L_t = (t-1) mod batch_size, so k*_{t-L_t-1} is this run's own
@@ -201,11 +189,9 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
         proc = OnlineEBH(weights, alpha)
         bsz = cfg.batch_size
         for start in range(0, n, bsz):
-            k0 = proc.k_star
-            idx = ts[start:start + bsz]
-            lags = np.full(len(idx), k0)
-            b = _boost_factors(cfg, TruncationVariant.LOCAL_MINUS, idx,
-                               lag_kstars=lags, cache=cache)
+            b = _boost_factors(cfg, TruncationVariant.LOCAL_MINUS,
+                               range(start + 1, start + bsz + 1),
+                               k0=proc.k_star, cache=cache)
             # the lag cap 1/((k0+1) alpha gamma_t) only raises needs <= k0 to
             # k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
             # arrival either way, and needs below k*_t are never read again

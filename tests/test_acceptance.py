@@ -172,13 +172,14 @@ def test_criterion_3_nested_self_consistent(s6_default):
                                       ("obh", trial.pvalues, minimal_k_pvalue)):
             run = runs[name][i]
             counts = run.rejection_counts()
-            if not np.array_equal(counts, np.asarray(run.kstar_path)):
+            path = run.kstar_path  # counted on each read, so read it once
+            if not np.array_equal(counts, np.asarray(path)):
                 bad_sc += 1
                 continue
             for idx, t in run.rejection_times.items():
                 need = need_fn(float(values[idx - 1]), cfg.alpha,
                                float(gammas[idx - 1]))
-                if not need <= run.kstar_path[t - 1]:
+                if not need <= path[t - 1]:
                     bad_sc += 1
                     break
     ok = bad_nested == 0 and bad_sc == 0

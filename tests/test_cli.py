@@ -232,6 +232,16 @@ class TestConfigFile:
         assert status == 2
         assert err == f"error: {cfg}:3: config key 'n' expects int, got '1e3'\n"
 
+    def test_kind_keeps_to_the_flag_choices(self, tmp_path):
+        cfg = tmp_path / "stream.cfg"
+        cfg.write_text("alpha = 0.1\nkind = E\n")
+        status, out, err = run_cli(["stream", "--config", str(cfg)], stdin_text="20\n")
+        assert status == 2 and out == ""
+        assert err == f"error: {cfg}:2: config key 'kind' must be p or e, got 'E'\n"
+        cfg.write_text("alpha = 0.3\ngamma = uniform:3\nkind = p\n")
+        status, out, _ = run_cli(["stream", "--config", str(cfg)], stdin_text="0.05\n")
+        assert status == 0 and out == "t=1 k*=1 rejected={1} new={1}\n"
+
 
 class TestOracleCheck:
     def test_agreement(self):

@@ -65,6 +65,12 @@ class TestFdpPath:
         with pytest.raises(InputError):
             FdpPath([0.0, 1.5])
 
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_at_outside_horizon_rejected(self, t):
+        # no wrap-around: at(0) and at(-1) would read the end of the path
+        with pytest.raises(InputError, match=f"t={t} outside 1..3"):
+            FdpPath([0.0, 0.5, 0.25]).at(t)
+
     def test_from_rejection_times(self):
         # rejections: index 1 at t=2 (null), index 3 at t=3 (non-null)
         truth = GroundTruth.from_nulls({1}, 4)
@@ -133,3 +139,16 @@ class TestEstimateMetrics:
     def test_stop_needs_counts(self):
         with pytest.raises(InputError):
             estimate_metrics(self._paths(), stopping_rule=StoppingRule.fixed_time(1))
+
+    def test_per_trial_lists_match_paths(self):
+        paths = self._paths() + [FdpPath([0.0, 0.0, 0.0])]
+        rule = StoppingRule.fixed_time(2)
+        with pytest.raises(InputError, match="1 rejection_counts for 3 FDP paths"):
+            estimate_metrics(paths, stopping_rule=rule, rejection_counts=[[0, 1, 1]])
+        with pytest.raises(InputError, match="2 power_values for 3 FDP paths"):
+            estimate_metrics(paths, power_values=[0.4, 0.6])
+        out = estimate_metrics(paths, power_values=iter([0.4, 0.6, 0.5]),
+                               stopping_rule=rule,
+                               rejection_counts=[[0, 1, 1]] * 3)
+        assert out["stop_fdr"][0] == pytest.approx(0.5 / 3)
+        assert out["power"][0] == pytest.approx(0.5)

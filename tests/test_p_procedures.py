@@ -349,6 +349,19 @@ class TestSaffron:
             assert proc.levels[t - 1] == pytest.approx(
                 min(0.5, proc.w0 * w.gamma(t)))
 
+    def test_candidate_discount_by_hand(self):
+        # explicit weights take the generic level; w0 = 0.125 and the first-
+        # rejection share is 0.25 - 0.125.  tau_1 = 1, then a candidate at t=2
+        # that is not rejected, so C_{1,3} = C_{1,4} = 1 and C_{0,t} = 2 from t=3
+        w = WeightSequence.explicit([0.4, 0.3, 0.2, 0.1])
+        proc = Saffron(w, 0.5, lam=0.5)
+        for x in (0.01, 0.3, 0.9, 0.9):
+            proc.step(x)
+        assert proc.rejection_times == {1: 1}
+        # t=2: 0.125 * gamma_1 + 0.125 * gamma_{2-1-0}; t=3: gamma_1 + gamma_{3-1-1};
+        # t=4: gamma_2 + gamma_{4-1-1}
+        assert proc.levels == pytest.approx([0.05, 0.1, 0.1, 0.075], rel=1e-12)
+
     def test_geometric_fast_path_matches_generic(self):
         rng = np.random.default_rng(26)
         p = rng.random(300) * rng.choice([1.0, 0.002], 300)

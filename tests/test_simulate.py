@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from arcfdr import simulate
 from arcfdr.core import ConfigError
 from arcfdr.simulate import (
     ALL_PROCEDURES,
@@ -126,6 +127,38 @@ class TestRunTrials:
         runs, _ = run_trials(cfg, ["oe-bh", "oe-bh-boost"], cache=cache)
         for base, boost in zip(runs["oe-bh"], runs["oe-bh-boost"]):
             assert set(base.rejection_times) <= set(boost.rejection_times)
+
+    def test_shared_cache_skips_the_solver(self, monkeypatch):
+        names = ["oe-bh-boost", "oe-bh-boost-minus", "oe-bh-boost-local"]
+        cfg = GaussianSetupConfig(n=200, batch_size=20, m=3, pi_a=0.3, seed=16)
+        cache = {}
+        first, _ = run_trials(cfg, names, cache=cache)
+        # the local runs reach the same batch at different lags k0, and the
+        # cache must keep them apart: runs on it match uncached runs
+        assert first == run_trials(cfg, names)[0]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called on a warm cache")
+
+        monkeypatch.setattr(simulate, "solve_boost_factors", no_solve)
+        second, _ = run_trials(cfg, names, cache=cache)
+        assert second == first
+
+    def test_cache_holds_one_entry_per_solve(self, monkeypatch):
+        solves = []
+        solve = simulate.solve_boost_factors
+        monkeypatch.setattr(simulate, "solve_boost_factors",
+                            lambda *a, **k: solves.append(len(a[3])) or solve(*a, **k))
+        cfg = GaussianSetupConfig(n=200, batch_size=20, m=4, seed=17)
+        cache = {}
+        run_experiment(cfg, ALL_PROCEDURES, pi_as=[0.1, 0.3], cache=cache)
+        # one table, one solve of all 200 weights per global cutoff, and one
+        # of 20 per (batch, lag) of the local runs
+        assert len(cache) == len(solves) + 1
+        assert solves.count(200) == 2 and set(solves) == {20, 200}
+        factors = [v for v in cache.values() if isinstance(v, np.ndarray)]
+        assert len(factors) == len(solves)
+        assert not any(b.flags.writeable for b in factors)
 
     def test_procedure_run_derives_its_path(self):
         run = ProcedureRun("obh", 5, {2: 2, 4: 4, 1: 4})
