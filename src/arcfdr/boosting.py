@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .core import ConfigError, InputError
+from .core import ConfigError, InputError, ScoreKind, needs
 
 
 class SolverError(RuntimeError):
@@ -70,29 +70,6 @@ class TruncationSpec:
         return math.inf
 
 
-def _grid_index(x, ag):
-    """Vectorized smallest k >= 1 with 1/(k*ag) <= x; 0 where x == 0.
-
-    Exact at grid boundaries: the ceil candidate is corrected by direct
-    comparison in two passes.
-    """
-    x = np.asarray(x, dtype=float)
-    k = np.zeros(x.shape, dtype=float)
-    pos = x > 0.0
-    inf = np.isinf(x)
-    k[inf] = 1.0
-    fin = pos & ~inf
-    with np.errstate(divide="ignore", over="ignore"):
-        k[fin] = np.maximum(1.0, np.ceil(1.0 / (ag * x[fin])))
-    with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(2):
-            over = fin & (1.0 / (k * ag) > x)     # grid value still above x
-            k[over] += 1.0
-            down = fin & (k > 1) & (1.0 / (np.maximum(k - 1.0, 1.0) * ag) <= x)
-            k[down] -= 1.0
-    return k
-
-
 def truncate(spec: TruncationSpec, x):
     """Evaluate the truncation function at x (scalar or array, +inf allowed)."""
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
@@ -104,9 +81,20 @@ def truncate(spec: TruncationSpec, x):
         return float(out[0]) if scalar else out
 
     ag = spec.alpha * spec.gamma
-    k = _grid_index(x, ag)
+    k = needs(x, ScoreKind.E_VALUE, spec.alpha, spec.gamma)  # inf at x = 0
+    far = np.flatnonzero(np.isinf(k) & (x > 0.0))
+    if far.size:
+        # x below 1/(1e15 ag), where needs() reports none, still has a grid
+        # value: the ceil candidate after two correction passes
+        xf = x[far]
+        with np.errstate(divide="ignore", over="ignore"):
+            kf = np.maximum(1.0, np.ceil(1.0 / (ag * xf)))
+            for _ in range(2):
+                kf += 1.0 / (kf * ag) > xf
+                kf -= (kf > 1.0) & (1.0 / (np.maximum(kf - 1.0, 1.0) * ag) <= xf)
+        k[far] = kf
     out = np.zeros_like(x)
-    hit = k >= 1.0
+    hit = x > 0.0
     out[hit] = 1.0 / (k[hit] * ag)
 
     s = spec.cutoff_s

@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 WEIGHT_SUM_SLACK = 1e-12
+NEED_CAP = 1e15  # a candidate k above this is reported as no need at all
 
 
 class InputError(ValueError):
@@ -46,6 +49,36 @@ def validate_score_value(value: float, kind: ScoreKind) -> float:
         if value < 0.0:
             raise InputError(f"e-value {value!r} is negative")
     return value
+
+
+def score_values(scores, kind: ScoreKind, t: int = 0) -> np.ndarray:
+    """Validate a batch of scores at once: raw floats, Scores or any iterable
+    of them, as a float array.  An error names the first bad score by its
+    position in ``scores`` and by its index, t + 1 for ``scores[0]``."""
+    items = scores if isinstance(scores, (np.ndarray, list, tuple)) else list(scores)
+    try:
+        values = np.asarray(items, dtype=float)
+    except (TypeError, ValueError):  # Scores, or something float() rejects
+        values = None
+    if values is None or values.ndim != 1:
+        values = np.empty(len(items))
+        for i, s in enumerate(items):
+            try:
+                values[i] = score_value(s, kind)
+            except InputError as exc:
+                raise InputError(f"scores[{i}] (t={t + i + 1}): {exc}") from None
+        return values
+    if kind is ScoreKind.P_VALUE:
+        bad = ~((values >= 0.0) & (values <= 1.0))
+    else:
+        bad = ~(values >= 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        try:
+            validate_score_value(values[i], kind)
+        except InputError as exc:
+            raise InputError(f"scores[{i}] (t={t + i + 1}): {exc}") from None
+    return values
 
 
 def score_value(score, kind: ScoreKind) -> float:
@@ -123,6 +156,23 @@ class WeightSequence:
         if self.description == "geometric":
             return self._q ** (t - 1) * (1.0 - self._q)
         return 1.0 / self._K if t <= self._K else 0.0
+
+    def gammas(self, t: int, n: int) -> np.ndarray:
+        """gamma_t, ..., gamma_{t+n-1} as a float array, equal to ``gamma``
+        bit for bit."""
+        if t < 1:
+            raise InputError(f"index t={t} must be >= 1")
+        out = np.zeros(n)
+        if self.description == "explicit":
+            part = self._weights[t - 1:t - 1 + n]
+            out[:len(part)] = part
+        elif self.description == "geometric":
+            # Python's pow: numpy's power can differ from gamma in the last ulp
+            q = self._q
+            out[:] = [q ** (i - 1) * (1.0 - q) for i in range(t, t + n)]
+        else:
+            out[:max(0, self._K - t + 1)] = 1.0 / self._K
+        return out
 
     def tail_mass(self, t: int) -> float:
         """Sum of gamma_i over i > t, in closed form."""
@@ -204,7 +254,7 @@ def minimal_k_evalue(e: float, alpha: float, gamma: float) -> float:
     if denom <= 0.0:  # product underflow for subnormal e
         return math.inf
     kf = 1.0 / denom
-    if kf > 1e15:
+    if kf > NEED_CAP:
         return math.inf
     k = max(1, math.ceil(kf))
     while k > 1 and e >= 1.0 / ((k - 1) * ag):
@@ -224,7 +274,7 @@ def minimal_k_pvalue(p: float, alpha: float, gamma: float) -> float:
         # alpha * gamma underflowed: every threshold k * ag is 0
         return 1 if p == 0.0 else math.inf
     kf = p / ag
-    if kf > 1e15:
+    if kf > NEED_CAP:
         return math.inf
     k = max(1, math.ceil(kf))
     while k > 1 and p <= (k - 1) * ag:
@@ -232,6 +282,57 @@ def minimal_k_pvalue(p: float, alpha: float, gamma: float) -> float:
     while p > k * ag:
         k += 1
     return k
+
+
+def needs(values, kind: ScoreKind, alpha: float, gammas) -> np.ndarray:
+    """``minimal_k_evalue`` / ``minimal_k_pvalue`` of every score at its
+    weight (an array, or one weight for all), bit for bit, as a float array
+    with inf for no need.
+
+    The float candidate is corrected by the scalar routines' own threshold
+    comparisons, repeated until no element moves: the thresholds are
+    monotone in k, so both arrive at the smallest qualifying k.
+    """
+    v = np.asarray(values, dtype=float)
+    g = np.asarray(gammas, dtype=float)
+    if g.shape != v.shape:
+        g = np.broadcast_to(g, v.shape)
+    k = np.full(v.shape, math.inf)
+    # e = inf, or p = 0, clears k = 1 at any positive weight, also where
+    # alpha * gamma underflows to 0 and the quotient below is nan
+    extreme = (v == (math.inf if kind is ScoreKind.E_VALUE else 0.0)) & (g > 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        ag = alpha * g
+        # no need where the scalar routines return inf early: the quotient
+        # is inf or nan for e = 0, gamma = 0 or an underflowing product; it
+        # is 0 only for the extreme scores above, and a negative score is
+        # not a score
+        kf = 1.0 / (ag * v) if kind is ScoreKind.E_VALUE else v / ag
+        at = np.flatnonzero((kf > 0.0) & (kf <= NEED_CAP))
+        v, ag = v[at], ag[at]
+        if kind is ScoreKind.E_VALUE:
+            qualifies = lambda k: v >= 1.0 / (k * ag)  # noqa: E731
+        else:
+            qualifies = lambda k: v <= k * ag  # noqa: E731
+        k[at] = _least_k(np.maximum(1.0, np.ceil(kf[at])), qualifies)
+    k[extreme] = 1.0
+    return k
+
+
+def _least_k(k, qualifies) -> np.ndarray:
+    """The smallest k >= 1 where ``qualifies`` (monotone in k) holds, from a
+    candidate k near it: step down while k - 1 qualifies, then up while k
+    does not, as the scalar routines do."""
+    while True:
+        down = (k > 1.0) & qualifies(k - 1.0)
+        if not down.any():
+            break
+        k -= down
+    while True:
+        up = ~qualifies(k)
+        if not up.any():
+            return k
+        k += up
 
 
 def is_self_consistent(candidate, scores, weights: WeightSequence, alpha: float,

@@ -14,6 +14,8 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .core import (
     ConfigError,
     InputError,
@@ -22,7 +24,9 @@ from .core import (
     WeightSequence,
     minimal_k_evalue,
     minimal_k_pvalue,
+    needs,
     score_value,
+    score_values,
     _SortedIndices,
 )
 from .metrics import rejection_counts
@@ -71,8 +75,18 @@ class StreamProcedure:
         self._rejected_tuple: tuple | None = ()  # None: rebuild from the list
         self._last_new: tuple = ()
 
-    def _advance(self, value: float, t: int) -> list:
-        """Process the raw score of hypothesis t; return the indices it newly
+    def _need(self, value: float, t: int):
+        """The key that ``_place`` decides on for the raw score of hypothesis
+        t: the need of a need-based procedure, the score itself otherwise."""
+        return value
+
+    def _needs(self, values, t: int):
+        """``_need`` of values[i] at index t + i for every i at once, or None
+        where the keys are computed one step at a time."""
+        return None
+
+    def _place(self, need, t: int) -> list:
+        """Process the key of hypothesis t; return the indices it newly
         rejects.  Raises before changing any state."""
         raise NotImplementedError
 
@@ -87,11 +101,18 @@ class StreamProcedure:
         times on each read."""
         return rejection_counts(self.rejection_times, self.t).tolist()
 
+    def _record(self, new: list, t: int):
+        """Book the indices that hypothesis t newly rejects."""
+        for i in new:
+            self.rejection_times[i] = t
+            insort(self._rejected_sorted, i)
+        self._rejected_tuple = None
+
     def _feed(self, score) -> list:
-        """Advance one step and keep the books: the rejection times and the
-        sorted rejections."""
+        """Advance one step and keep the books (``_record``, inlined: this is
+        the per-step path)."""
         t = self.t + 1
-        new = self._advance(score_value(score, self.kind), t)
+        new = self._place(self._need(score_value(score, self.kind), t), t)
         self.t = t
         if new:
             for i in new:
@@ -106,13 +127,35 @@ class StreamProcedure:
         return self.rejection_set()
 
     def run(self, scores) -> "StreamProcedure":
-        """Feed a whole stream without materializing per-step sets."""
-        new = None
-        for s in scores:
-            new = self._feed(s)
-        if new is not None:
-            self._last_new = tuple(sorted(new))
+        """Feed a whole stream without materializing per-step sets.
+
+        The scores are validated first, all at once, so a bad one raises
+        before any state changes; the keys are then computed in one pass
+        where ``_needs`` can.  The result equals one ``step`` per score."""
+        t0 = self.t + 1
+        values = score_values(scores, self.kind, self.t)
+        if not len(values):
+            return self
+        keys = self._needs(values, t0)
+        if keys is None:
+            new = self._run(values, t0, self._need)
+        else:
+            new = self._run(keys, t0)
+        self._last_new = tuple(sorted(new))
         return self
+
+    def _run(self, keys, t0: int, need=None) -> list:
+        """One step per key (an array) from index t0 on: the keys are the
+        validated scores and ``need`` turns each into its key, or they are
+        the keys themselves.  Returns the last step's rejections."""
+        t = t0 - 1
+        for key in keys.tolist():
+            t += 1
+            new = self._place(key if need is None else need(key, t), t)
+            self.t = t
+            if new:
+                self._record(new, t)
+        return new
 
     def rejection_set(self) -> RejectionSet:
         if self._rejected_tuple is None:
@@ -170,8 +213,9 @@ class _KStarStepUp(StreamProcedure):
     list at most once, paying a memmove over the pending needs within reach
     of N only, and the descent after it stops at its need.
 
-    A subclass supplies ``_need``, which the engine calls once per step before
-    anything else.  A subclass whose keys are not integer needs (Storey's
+    A subclass supplies ``_need``, which is called once per step before
+    ``_place``, and ``_needs`` where the keys of a whole ``run()`` can be
+    computed at once.  A subclass whose keys are not integer needs (Storey's
     ratios) also sets ``_bound``; its keys are not capped.
     """
 
@@ -233,8 +277,7 @@ class _KStarStepUp(StreamProcedure):
             needs.insert(pos, need)
             pending.insert(pos, j)
 
-    def _advance(self, value: float, t: int) -> list:
-        need = self._need(value, t)
+    def _place(self, need, t: int) -> list:
         deadline = None if self.deadlines is None else self.deadlines.deadline(t)
         if self._expiry:
             self._expire(t)
@@ -275,16 +318,72 @@ class _KStarStepUp(StreamProcedure):
             del self._pending[:pos]
         return newly
 
+    def _run(self, keys, t0: int, need=None) -> list:
+        """``StreamProcedure._run`` where a deadline-free engine on integer
+        needs only counts the arrivals out of reach.
+
+        N never exceeds N0 + len(keys) during the call, N0 the count before
+        it, and a need qualifies at most at N, so an arrival whose need
+        exceeds that horizon is not rejected in this call.  If every waiting
+        need also exceeds the new N, ``_place`` would only count it, push it
+        to the waiting heap and set the mark ``_clear`` to N: no k in
+        (k*, N] qualifies before it (the mark's invariant), and the new N
+        brings no need into the pending list.  So just that is done, without
+        the search, and the pushes wait for the end of the call, as nothing
+        could pop them before.  An infinite need changes nothing."""
+        if need is not None or self._bound is not None or self.deadlines is not None:
+            return super()._run(keys, t0, need)
+        count = self._count
+        horizon = count + len(keys)
+        waiting, cap, far = self._waiting, self._cap, []
+        new, placed, t = [], 0, t0 - 1
+        for key in keys.tolist():
+            t += 1
+            if key > horizon:
+                if key == math.inf:
+                    continue
+                if not waiting or waiting[0][0] > count + 1:
+                    count += 1
+                    if key <= cap:
+                        far.append((key, t))
+                    continue
+            self._count = self._clear = count
+            new = self._place(key, t)
+            placed = t
+            count = self._count
+            if new:
+                self._record(new, t)
+        self.t = t
+        self._count = self._clear = count
+        for item in far:
+            heappush(waiting, item)
+        return new if placed == t else []
+
 
 class _LondRule(StreamProcedure):
     """The closed-form LOND rule: H_t is rejected on arrival iff its need is
     at most |R_{t-1}| + 1, and never later.  This is the step-up engine with
     d_t = t, where count(k) is |R_{t-1}| plus H_t if need_t <= k, without its
-    lists.  A subclass supplies ``_need``, the one of its step-up sibling.
+    lists.  A subclass supplies ``_need`` and ``_needs``, the ones of its
+    step-up sibling.
     """
 
-    def _advance(self, value: float, t: int) -> list:
-        return [t] if self._need(value, t) <= len(self.rejection_times) + 1 else []
+    def _place(self, need, t: int) -> list:
+        return [t] if need <= len(self.rejection_times) + 1 else []
+
+    def _run(self, keys, t0: int, need=None) -> list:
+        """A need above |R| + len(keys), |R| before the call, is never within
+        |R_{t-1}| + 1 during the call, so only the other arrivals are
+        placed."""
+        if need is not None:
+            return super()._run(keys, t0, need)
+        reach = np.flatnonzero(keys <= len(self.rejection_times) + len(keys))
+        for i, key in zip(reach.tolist(), keys[reach].tolist()):
+            if key <= len(self.rejection_times) + 1:
+                self._record([t0 + i], t0 + i)
+        t = t0 + len(keys) - 1
+        self.t = t
+        return [t] if self.rejection_times.get(t) == t else []
 
 
 class OnlineEBH(_KStarStepUp):
@@ -300,12 +399,16 @@ class OnlineEBH(_KStarStepUp):
     def _need(self, value, t):
         return minimal_k_evalue(value, self.alpha, self.weights.gamma(t))
 
+    def _needs(self, values, t):
+        return needs(values, self.kind, self.alpha, self.weights.gammas(t, len(values)))
+
 
 class ELond(_LondRule):
     """e-LOND: fully online, rejects H_t iff E_t >= 1/(alpha gamma_t (|R_{t-1}| + 1))."""
 
     kind = ScoreKind.E_VALUE
     _need = OnlineEBH._need
+    _needs = OnlineEBH._needs
 
 
 class EToad(OnlineEBH):
@@ -327,3 +430,5 @@ class _KStarStepUpP(_KStarStepUp):
 
     def _need(self, value, t):
         return minimal_k_pvalue(value, self.alpha, self.weights.gamma(t))
+
+    _needs = OnlineEBH._needs

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,20 @@ class GroundTruth:
             raise InputError(f"index {i} not covered by ground truth")
         return bool(self.labels[i - 1])
 
+    @cached_property
+    def _null_mask(self) -> np.ndarray:
+        return np.array(self.labels, dtype=bool)
+
+    def nulls_at(self, indices) -> np.ndarray:
+        """``is_null`` of each 1-based index as a boolean array, from one
+        mask built per truth."""
+        idx = np.asarray(indices, dtype=np.int64)
+        n = len(self.labels)
+        if idx.size and (idx.min() < 1 or idx.max() > n):
+            bad = idx[(idx < 1) | (idx > n)][0]
+            raise InputError(f"index {bad} not covered by ground truth")
+        return self._null_mask[idx - 1]
+
     @property
     def n_nulls(self) -> int:
         return sum(self.labels)
@@ -45,7 +60,7 @@ def fdp(rejections, truth: GroundTruth) -> float:
     indices = rejections.indices if isinstance(rejections, RejectionSet) else tuple(rejections)
     if not indices:
         return 0.0
-    false = sum(1 for i in indices if truth.is_null(i))
+    false = int(np.count_nonzero(truth.nulls_at(indices)))
     return false / len(indices)
 
 
@@ -53,7 +68,7 @@ def power(rejections, truth: GroundTruth) -> float:
     """Proportion of non-null hypotheses rejected."""
     indices = rejections.indices if isinstance(rejections, RejectionSet) else tuple(rejections)
     denom = max(1, truth.n_nonnulls)
-    true_pos = sum(1 for i in indices if not truth.is_null(i))
+    true_pos = len(indices) - int(np.count_nonzero(truth.nulls_at(indices)))
     return true_pos / denom
 
 
@@ -92,6 +107,11 @@ def rejection_counts(rejection_times: dict, n: int) -> np.ndarray:
     if times.size and not (1 <= times.min() and times.max() <= n):
         bad = times[(times < 1) | (times > n)][0]
         raise InputError(f"rejection time {bad} outside 1..{n}")
+    return _counts(times, n)
+
+
+def _counts(times: np.ndarray, n: int) -> np.ndarray:
+    """#{times <= t} for t = 1..n, for times within 1..n."""
     return np.cumsum(np.bincount(times, minlength=n + 1)[1:])
 
 
@@ -100,9 +120,10 @@ def fdp_path_from_rejection_times(rejection_times: dict, truth: GroundTruth,
     """FDP path of an ARC run from its first-rejection times: the counts of
     all rejections and of null rejections up to each t."""
     totals = rejection_counts(rejection_times, n)
-    falses = rejection_counts(
-        {i: t for i, t in rejection_times.items() if truth.is_null(i)}, n)
-    return FdpPath(falses / np.maximum(totals, 1))
+    count = len(rejection_times)
+    nulls = truth.nulls_at(np.fromiter(rejection_times, dtype=np.int64, count=count))
+    times = np.fromiter(rejection_times.values(), dtype=np.int64, count=count)
+    return FdpPath(_counts(times[nulls], n) / np.maximum(totals, 1))
 
 
 class StoppingRule:

@@ -6,13 +6,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     ConfigError,
     InputError,
     ScoreKind,
     WeightSequence,
+    _least_k,
     harmonic_number,
     minimal_k_pvalue,
+    needs,
 )
 from .e_procedures import DeadlineSchedule, StreamProcedure, _KStarStepUpP, _LondRule
 
@@ -98,6 +102,29 @@ class ShapeFunction:
                 lo = mid + 1
         return lo
 
+    def needs(self, values, alpha: float, gammas):
+        """``minimal_k`` of every p-value at its weight, bit for bit, as a
+        float array; None for a custom shape, which is searched per score."""
+        if self.variant == "identity":
+            return needs(values, ScoreKind.P_VALUE, alpha, gammas)
+        if self.variant == "custom":
+            return None
+        p = np.asarray(values, dtype=float)
+        g = np.asarray(gammas, dtype=float)
+        if g.shape != p.shape:
+            g = np.broadcast_to(g, p.shape)
+        K, ell = self._K, self._ell
+        k = np.full(p.shape, math.inf)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ag = alpha * g
+            at = np.flatnonzero((g > 0.0) & (p <= ag * self.beta_sup))
+            p, ag = p[at], ag[at]
+            # beta(K) = beta_sup, so k = K qualifies and bounds the candidate;
+            # fmax takes 1 where p = ag = 0
+            kc = np.fmin(np.fmax(np.ceil(p * ell / ag), 1.0), K)
+            k[at] = _least_k(kc, lambda kc: p <= ag * (np.minimum(kc, K) / ell))
+        return k
+
 
 class OnlineBH(_KStarStepUpP):
     """Online BH: rejects R_t = {i <= t : P_i <= k*_t * alpha * gamma_i} with
@@ -118,18 +145,23 @@ class OnlineBR(_KStarStepUpP):
     def _need(self, value, t):
         return self.beta.minimal_k(value, self.alpha, self.weights.gamma(t))
 
+    def _needs(self, values, t):
+        return self.beta.needs(values, self.alpha, self.weights.gammas(t, len(values)))
+
 
 class Lond(_LondRule):
     """LOND: fully online, rejects H_t iff P_t <= alpha gamma_t (|R_{t-1}| + 1)."""
 
     kind = ScoreKind.P_VALUE
     _need = OnlineBH._need
+    _needs = OnlineBH._needs
 
 
 class RLond(Lond):
     """Reshaped LOND: threshold alpha gamma_t beta(|R_{t-1}| + 1)."""
 
     _need = OnlineBR._need
+    _needs = OnlineBR._needs
 
     def __init__(self, weights, alpha, beta: ShapeFunction):
         super().__init__(weights, alpha)
@@ -147,9 +179,15 @@ class Toad(_KStarStepUpP):
         self.deadlines = deadlines
         # beta: a single ShapeFunction or a callable index -> ShapeFunction
         self._beta_of = beta if callable(beta) else (lambda t: beta)
+        self._shape = None if callable(beta) else beta
 
     def _need(self, value, t):
         return self._beta_of(t).minimal_k(value, self.alpha, self.weights.gamma(t))
+
+    def _needs(self, values, t):
+        if self._shape is None:
+            return None
+        return self._shape.needs(values, self.alpha, self.weights.gammas(t, len(values)))
 
 
 class OnlineStoreyBH(_KStarStepUpP):
@@ -194,6 +232,9 @@ class OnlineStoreyBH(_KStarStepUpP):
             return value / ag
         return math.inf
 
+    def _needs(self, values, t):
+        return None  # each key reads pi0_hat_t, which moves with every score
+
     def _bound(self, k):
         # pi0_hat is 0 only when every weight is 0, and then no key is counted
         return k / self.pi0_hat if self.pi0_hat else math.inf
@@ -234,7 +275,7 @@ class Lord(StreamProcedure):
             rest = math.fsum(self.weights.gamma(t - tau_j) for tau_j in tau[1:])
         return self.weights.gamma(t) * self.w0 + (self.alpha - self.w0) * first + self.alpha * rest
 
-    def _advance(self, value, t):
+    def _place(self, value, t):
         if self._geom_q is not None:
             q = self._geom_q
             self._sum_first *= q
@@ -307,7 +348,7 @@ class Saffron(StreamProcedure):
                + (1.0 - self.lam) * self.alpha * rest)
         return min(self.lam, raw)
 
-    def _advance(self, value, t):
+    def _place(self, value, t):
         level = self._level(t)
         self.levels.append(level)
         if value > self.lam:

@@ -116,14 +116,12 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
     return GaussianTrial(z, x, evalues, pvalues, truth)
 
 
-def _boost_factors(cfg, variant, ts, k0=None, cache=None):
+def _boost_factors(cfg, variant, ts, cache, k0=None):
     """b_t for a run ts of consecutive indices under one lag k0: one batched
     solve on the setup's bracket table, memoized as one cache entry."""
-    cache = {} if cache is None else cache
     key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, ts[0], len(ts), k0)
     if key not in cache:
-        # Python floats: numpy's power on an int64 can differ in the last ulp
-        gammas = [cfg.q ** (t - 1) * (1.0 - cfg.q) for t in ts]
+        gammas = WeightSequence.geometric(cfg.q).gammas(ts[0], len(ts))
         b = solve_boost_factors(GaussianLRModel(cfg.mu_a), variant, cfg.alpha, gammas,
                                 cfg.n, lag_kstar=k0, table=_boost_table(cfg, cache))
         b.flags.writeable = False
@@ -168,7 +166,7 @@ class ProcedureRun:
 
 
 def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
-                   cache: dict | None) -> ProcedureRun:
+                   cache: dict) -> ProcedureRun:
     weights = WeightSequence.geometric(cfg.q)
     alpha, n = cfg.alpha, cfg.n
 
@@ -181,7 +179,7 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
         # through region sits below every rejection threshold.  minus: truncation
         # only zeroes values whose need exceeds n >= k*_t and moves the rest down
         # to a grid value of the same need, so it changes no decision
-        b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], range(1, n + 1), cache=cache)
+        b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], range(1, n + 1), cache)
         proc = OnlineEBH(weights, alpha).run(b * trial.evalues)
     elif name == "oe-bh-boost-local":
         # lag L_t = (t-1) mod batch_size, so k*_{t-L_t-1} is this run's own
@@ -190,8 +188,8 @@ def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
         bsz = cfg.batch_size
         for start in range(0, n, bsz):
             b = _boost_factors(cfg, TruncationVariant.LOCAL_MINUS,
-                               range(start + 1, start + bsz + 1),
-                               k0=proc.k_star, cache=cache)
+                               range(start + 1, start + bsz + 1), cache,
+                               k0=proc.k_star)
             # the lag cap 1/((k0+1) alpha gamma_t) only raises needs <= k0 to
             # k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
             # arrival either way, and needs below k*_t are never read again
@@ -219,8 +217,10 @@ def run_trials(cfg: GaussianSetupConfig, procedures, cache: dict | None = None):
     """Run each procedure on m freshly generated trials.
 
     Returns (runs, truths): runs[name][i] is the ProcedureRun of trial i,
-    truths[i] its ground truth.
+    truths[i] its ground truth.  Boost factors are memoized in ``cache``, or
+    in one dict for the whole call when none is passed.
     """
+    cache = {} if cache is None else cache
     procedures = list(procedures)
     unknown = [p for p in procedures if p not in ALL_PROCEDURES]
     if unknown:
@@ -237,9 +237,11 @@ def run_trials(cfg: GaussianSetupConfig, procedures, cache: dict | None = None):
 
 def run_experiment(cfg: GaussianSetupConfig, procedures, pi_as=None,
                    cache: dict | None = None):
-    """Tidy result rows (power, FDR, SupFDR with SEs) per procedure and pi_A."""
+    """Tidy result rows (power, FDR, SupFDR with SEs) per procedure and pi_A.
+    Without a ``cache``, one dict serves every pi_A of the call."""
     from .metrics import estimate_metrics
 
+    cache = {} if cache is None else cache
     pi_as = [cfg.pi_a] if pi_as is None else list(pi_as)
     if not list(procedures):
         raise ConfigError("empty procedure roster")

@@ -27,6 +27,43 @@ class TestGroundTruth:
             t.is_null(3)
 
 
+class TestNullMask:
+    def test_nulls_at_reads_is_null(self):
+        t = GroundTruth.from_nulls({2, 4, 5}, 6)
+        idx = [5, 1, 2, 6, 2]
+        assert t.nulls_at(idx).tolist() == [t.is_null(i) for i in idx]
+        assert t.nulls_at([]).tolist() == []
+        for bad in ([3, 7], [0], [2, -1]):
+            with pytest.raises(InputError, match=f"index {bad[-1]} not covered"):
+                t.nulls_at(bad)
+
+    def test_metrics_match_a_per_index_count(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        labels = tuple(bool(b) for b in rng.random(60) < 0.7)
+        truth = GroundTruth(labels)
+        times = {int(i): int(rng.integers(i, 61)) for i in rng.choice(np.arange(1, 61), 25, replace=False)}
+        want_path = []
+        for t in range(1, 61):
+            rejected = [i for i, s in times.items() if s <= t]
+            want_path.append(sum(labels[i - 1] for i in rejected) / max(1, len(rejected)))
+        want_power = sum(not labels[i - 1] for i in times) / (60 - sum(labels))
+
+        def no_per_index(self, i):
+            raise AssertionError("is_null read per index")
+
+        monkeypatch.setattr(GroundTruth, "is_null", no_per_index)
+        assert fdp_path_from_rejection_times(times, truth, 60).values.tolist() == want_path
+        assert power(sorted(times), truth) == want_power
+        assert fdp(sorted(times), truth) == want_path[-1]
+
+    def test_index_beyond_the_truth(self):
+        truth = GroundTruth.from_nulls({1}, 3)
+        with pytest.raises(InputError, match="index 4 not covered"):
+            fdp_path_from_rejection_times({1: 1, 4: 4}, truth, 4)
+        with pytest.raises(InputError, match="index 4 not covered"):
+            power([1, 4], truth)
+
+
 class TestFdpPower:
     def test_empty_rejections(self):
         t = GroundTruth.from_nulls({1}, 3)

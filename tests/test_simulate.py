@@ -160,6 +160,21 @@ class TestRunTrials:
         assert len(factors) == len(solves)
         assert not any(b.flags.writeable for b in factors)
 
+    def test_no_cache_shares_one_dict_per_call(self, monkeypatch):
+        solves = []
+        solve = simulate.solve_boost_factors
+        monkeypatch.setattr(simulate, "solve_boost_factors",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        cfg = GaussianSetupConfig(n=100, batch_size=20, m=3, pi_a=0.3, seed=18)
+        names = ["oe-bh-boost", "oe-bh-boost-local"]
+        for call in (run_trials, run_experiment):
+            solves.clear()
+            cold = call(cfg, names, cache={})
+            with_cache = len(solves)
+            solves.clear()
+            assert call(cfg, names) == cold
+            assert len(solves) == with_cache
+
     def test_procedure_run_derives_its_path(self):
         run = ProcedureRun("obh", 5, {2: 2, 4: 4, 1: 4})
         assert run.kstar_path == [0, 1, 1, 3, 3]
