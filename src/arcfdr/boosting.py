@@ -76,11 +76,13 @@ def truncate(spec: TruncationSpec, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0) or np.any(np.isnan(x)):
         raise InputError("truncation input must be nonnegative")
-    if spec.gamma == 0.0:
-        out = np.zeros_like(x)  # convention 0 * inf = 0
+    ag = spec.alpha * spec.gamma
+    if ag == 0.0:
+        # gamma = 0, or alpha * gamma underflows: the grid {1/(k ag)} is out
+        # of reach, and the convention 0 * inf = 0 gives 0 everywhere
+        out = np.zeros_like(x)
         return float(out[0]) if scalar else out
 
-    ag = spec.alpha * spec.gamma
     k = needs(x, ScoreKind.E_VALUE, spec.alpha, spec.gamma)  # inf at x = 0
     far = np.flatnonzero(np.isinf(k) & (x > 0.0))
     if far.size:
@@ -196,6 +198,8 @@ def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: fl
 B_MAX = 1e6             # default upper limit of a boosting factor
 _TABLE_STEP = 0.25      # spacing of a BoostTable's grid in v = log u
 _POLISH_STEPS = 60      # bisection halves a 0.25-wide bracket to 1e-13 in 42
+_HERMITE_STEPS = 8      # safeguarded Newton steps on the cubic start of a cell
+_CHUNK_TERMS = 1 << 14  # (target, k) terms per array of an exact evaluation
 _NEWTON_DONE = 1e-11    # |Newton step| in v: the point is that close to the root
 _BISECT_DONE = 1e-13    # bracket width in v at which bisection stops
 _RESIDUAL_MAX = 1e-6    # |E_null[T(bE)] - 1| allowed at a returned factor
@@ -204,12 +208,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class BoostTable:
     """Null tail probabilities T_k(v) = P(bE >= 1/(k alpha gamma)) for k = 1..s
-    on a grid of v = log(alpha gamma b), with their Abel-weighted suffix sums.
+    on a grid of v = log(alpha gamma b), with their Abel-weighted suffix sums
+    and the same suffix sums over the densities dT_k/dv.
 
     T_k depends on b and on the weight only through v, so one table per
     (s, delta) brackets the root of every target alpha*gamma_t, for every
-    cutoff variant and every lag k0.  Grid rows sit at multiples of the grid
-    step, so two tables agree wherever their ranges overlap.
+    cutoff variant and every lag k0, and holds G and dG/dv at its rows.  Grid
+    rows sit at multiples of the grid step, so two tables agree wherever
+    their ranges overlap.
     """
 
     def __init__(self, delta: float, s: int, v_lo: float, v_hi: float):
@@ -218,16 +224,28 @@ class BoostTable:
                          math.ceil(v_hi / _TABLE_STEP) + 1)
         self.v = rows * _TABLE_STEP
         logk = np.log(np.arange(1, s + 1, dtype=float))
-        self.tails = ndtr((logk + self.v[:, None]) / delta - delta / 2.0)
-        weighted = self.tails * _abel_weights(1, s, s)
+        z = (logk + self.v[:, None]) / delta - delta / 2.0
+        self.tails = ndtr(z)
+        w = _abel_weights(1, s, s)
         # suffix[:, m-1] = sum_{k >= m} w_k T_k: the minus-type sum of every k0
-        self.suffix = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1]
-        self.pass_through = np.exp(self.v) * ndtr(
-            -delta / 2.0 - (logk[-1] + self.v) / delta)
+        self.suffix = _suffix_sums(self.tails * w)
+        dens = np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / delta)
+        self.dens_last = dens[:, -1]
+        self.dsuffix = _suffix_sums(dens * w)
+        u = np.exp(self.v)
+        a = -delta / 2.0 - (logk[-1] + self.v) / delta
+        self.pass_through = u * ndtr(a)
+        self.dpass_through = (self.pass_through
+                              - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / delta))
 
     def covers(self, delta: float, s: int, v_lo: float, v_hi: float) -> bool:
         return (self.delta == delta and self.s == s
                 and self.v[0] <= v_lo and self.v[-1] >= v_hi)
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """out[:, j] = sum of x[:, j:], row by row."""
+    return np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
 
 
 def _abel_weights(m: int, s: int, last: int) -> np.ndarray:
@@ -241,7 +259,7 @@ def _abel_weights(m: int, s: int, last: int) -> np.ndarray:
 
 class BoostCurve:
     """G(v) = alpha*gamma*E_null[T(bE)] at v = log(alpha*gamma*b), for one
-    (variant, s, k0, delta).
+    (variant, s, delta) and a lag k0 per target (or one for all).
 
     With u = alpha*gamma*b the tails are T_k = Phi((log k + v)/delta - delta/2),
     free of t, and Abel summation turns the bracket sum of every cutoff
@@ -253,37 +271,66 @@ class BoostCurve:
     """
 
     def __init__(self, delta: float, variant: TruncationVariant, s: int,
-                 lag_kstar: int | None = None):
+                 lag_kstar=None):
         if variant in (TruncationVariant.FULL, TruncationVariant.LOCAL):
             raise ConfigError(f"no closed form for variant {variant.value}")
         if s < 1:
             raise ConfigError(f"{variant.value} needs a cutoff s >= 1")
         local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
-        k0 = lag_kstar if local else 0
-        if k0 is None or k0 < 0:
+        if not local:
+            k0 = np.zeros(1, dtype=np.int64)
+        elif lag_kstar is None or np.any(np.asarray(lag_kstar) < 0):
             raise ConfigError(f"{variant.value} needs lag_kstar >= 0")
-        if variant is TruncationVariant.LOCAL_PLUS and k0 + 1 > s:
+        else:
+            k0 = np.atleast_1d(np.asarray(lag_kstar, dtype=np.int64))
+        if variant is TruncationVariant.LOCAL_PLUS and np.any(k0 + 1 > s):
             raise ConfigError("local_plus needs s >= lag_kstar + 1")
         self.delta, self.s = delta, s
         self.prds = variant is TruncationVariant.PRDS
         self.plus = variant in (TruncationVariant.PLUS, TruncationVariant.LOCAL_PLUS)
-        self.m = 1 if self.prds else min(k0 + 1, s)
-        self.logk = np.log(np.arange(self.m, s + 1, dtype=float))
-        if self.prds:
-            self.w = 1.0 / np.arange(1, s + 1, dtype=float)
-        else:
-            self.w = _abel_weights(self.m, s, max(s, k0 + 1))
+        # the distinct lags, and the one of each target (or one for all)
+        self.lags, self.column = np.unique(k0, return_inverse=True)
+        self.logk = np.log(np.arange(1, s + 1, dtype=float))
+        self._terms = {}
 
-    def __call__(self, v: np.ndarray):
-        """G and dG/dv at each v (dG is None for PRDS, whose G is a max)."""
+    def _terms_of(self, k0: int):
+        """log k and the weight of T_k for the terms k = m..s of lag k0."""
+        if k0 not in self._terms:
+            s = self.s
+            if self.prds:
+                self._terms[k0] = self.logk, 1.0 / np.arange(1, s + 1, dtype=float)
+            else:
+                m = min(k0 + 1, s)
+                self._terms[k0] = self.logk[m - 1:], _abel_weights(m, s, max(s, k0 + 1))
+        return self._terms[k0]
+
+    def __call__(self, v: np.ndarray, which=None):
+        """G and dG/dv at each v[i] on the curve of target which[i] (dG is
+        None for PRDS, whose G is a max).
+
+        Targets are evaluated lag by lag, in chunks of about 16k terms, with
+        row sums, not a matrix product: a target's G does not depend on which
+        other targets or lags share the call."""
         d = self.delta
-        z = (self.logk + v[:, None]) / d - d / 2.0
-        if self.prds:
-            return np.max(ndtr(z) * self.w, axis=1), None
-        # row sums, not a matrix product, so a target's G does not depend on
-        # which other targets share the batch
-        g = np.sum(ndtr(z) * self.w, axis=1)
-        dg = np.sum(np.exp(-0.5 * z * z) * self.w, axis=1) * (_INV_SQRT_2PI / d)
+        v = np.asarray(v, dtype=float)
+        g = np.empty(len(v))
+        dg = None if self.prds else np.empty(len(v))
+        if len(self.lags) == 1:
+            groups = [(0, np.arange(len(v)))]
+        else:
+            column = self.column[which]
+            groups = [(u, np.flatnonzero(column == u)) for u in np.unique(column)]
+        for u, rows in groups:
+            logk, w = self._terms_of(int(self.lags[u]))
+            step = max(1, _CHUNK_TERMS // len(w))
+            for c in range(0, len(rows), step):
+                r = rows[c:c + step]
+                z = (logk + v[r, None]) / d - d / 2.0
+                if self.prds:
+                    g[r] = np.max(ndtr(z) * w, axis=1)
+                    continue
+                g[r] = np.sum(ndtr(z) * w, axis=1)
+                dg[r] = np.sum(np.exp(-0.5 * z * z) * w, axis=1) * (_INV_SQRT_2PI / d)
         if self.plus:
             a = -d / 2.0 - (self.logk[-1] + v) / d
             u = np.exp(v)
@@ -292,37 +339,78 @@ class BoostCurve:
             dg = dg + pass_through - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / d)
         return g, dg
 
-    def on_grid(self, table: BoostTable) -> np.ndarray:
-        """G at the table's rows (from its suffix sums), made nondecreasing."""
+    def on_grid(self, table: BoostTable):
+        """G at the table's rows from its suffix sums, made nondecreasing, and
+        dG/dv there (0 for PRDS, whose G is a max): one column per distinct
+        lag, the one of target i being column[i].  Lag k0 reads suffix column
+        m = k0 + 1 and corrects the weight of T_s."""
         if self.prds:
-            col = np.max(table.tails * self.w, axis=1)
-        else:
-            col = (table.suffix[:, self.m - 1]
-                   + table.tails[:, -1] * (self.w[-1] - 1.0 / self.s))
-            if self.plus:
-                col = col + table.pass_through
-        return np.maximum.accumulate(col)
+            col = np.max(table.tails * self._terms_of(0)[1], axis=1)[:, None]
+            return np.maximum.accumulate(col), np.zeros_like(col)
+        k0 = self.lags
+        m = np.minimum(k0 + 1, self.s)
+        corr = 1.0 / np.maximum(self.s, k0 + 1) - 1.0 / self.s
+        col = table.suffix[:, m - 1] + table.tails[:, -1:] * corr
+        dcol = table.dsuffix[:, m - 1] + table.dens_last[:, None] * corr
+        if self.plus:
+            col = col + table.pass_through[:, None]
+            dcol = dcol + table.dpass_through[:, None]
+        return np.maximum.accumulate(col, axis=0), dcol
+
+
+def _hermite_root(h, g0, g1, dg0, dg1, ly):
+    """Where the cubic Hermite interpolant of log G on a cell of width h,
+    from G and dG/dv at its two ends, reaches ly, as a fraction of the cell;
+    the linear interpolant of log G where the cubic is undefined (G = 0 or
+    dG = 0 at an end, as for PRDS), and the midpoint where that is too.
+
+    log G rises from below ly to at least ly over the cell, so a Newton
+    iteration on the cubic, safeguarded by bisection in [0, 1], finds it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l0 = np.log(g0)
+        dl = np.log(g1) - l0
+        lin = (ly - l0) / dl
+        m0, m1 = h * dg0 / g0, h * dg1 / g1
+        c2, c3 = 3.0 * dl - 2.0 * m0 - m1, m0 + m1 - 2.0 * dl
+        f0 = l0 - ly
+        lin = np.where(np.isfinite(lin), np.clip(lin, 0.0, 1.0), 0.5)
+        cubic = np.isfinite(f0 + dl + m0 + m1) & (m0 > 0.0) & (m1 > 0.0)
+        t, t_lo, t_hi = lin.copy(), np.zeros(len(lin)), np.ones(len(lin))
+        for _ in range(_HERMITE_STEPS):
+            f = f0 + t * (m0 + t * (c2 + t * c3))
+            df = m0 + t * (2.0 * c2 + 3.0 * t * c3)
+            low = f < 0.0
+            t_lo, t_hi = np.where(low, t, t_lo), np.where(low, t_hi, t)
+            nxt = t - f / df
+            t = np.where((nxt > t_lo) & (nxt < t_hi), nxt, 0.5 * (t_lo + t_hi))
+    return np.where(cubic, t, lin)
 
 
 def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
-                        alpha: float, gammas, s: int, lag_kstar: int | None = None,
+                        alpha: float, gammas, s: int, lag_kstar=None,
                         b_max: float = B_MAX, table: BoostTable | None = None) -> np.ndarray:
     """Largest valid boosting factors b_t, E_null[T_t(b_t E)] = 1, for many
-    weights gamma_t of one (variant, s, k0, delta), solved together.
+    weights gamma_t of one (variant, s, delta), solved together; the local
+    variants take one lag k0 for all targets, or one per target.
 
     Each factor is the root of G(v) = alpha*gamma_t on the t-free curve of
     BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable (built here
     unless one covering the targets is passed in) brackets every root within
-    one grid step; a safeguarded Newton iteration in log G, or bisection for
-    PRDS, then polishes all pending targets at once.  b_t = 1 where
-    E_null[T_t(E)] >= 1 already.  Raises SolverError for a zero weight, for
-    no root in [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above
-    1e-6.
+    one grid step and holds G and dG/dv at the bracket's ends.  The start is
+    the root of the cubic Hermite interpolant of log G there; a safeguarded
+    Newton iteration in log G on exact evaluations, or bisection for PRDS,
+    then polishes all pending targets at once.  b_t = 1 where
+    E_null[T_t(E)] >= 1 already.  A target's factor does not depend on which
+    other targets or lags share the call.  Raises SolverError for a zero
+    weight, for no root in [1, b_max], or for a residual
+    |E_null[T_t(b_t E)] - 1| above 1e-6.
     """
     if b_max < 1.0:
         raise ConfigError(f"b_max={b_max} is below 1")
     curve = BoostCurve(model.delta, variant, s, lag_kstar)
     y = alpha * np.atleast_1d(np.asarray(gammas, dtype=float))
+    if len(curve.column) not in (1, len(y)):
+        raise ConfigError(f"{len(curve.column)} lags for {len(y)} weights")
     if np.any(y <= 0.0):
         raise SolverError("gamma = 0: truncation is identically 0, no root")
     ly = np.log(y)
@@ -331,26 +419,28 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         table = BoostTable(model.delta, s, ly.min(), v_top.max())
 
     # bracket: the first grid row with G >= y, clipped to [log y, log(y b_max)]
-    col = curve.on_grid(table)
-    j = np.searchsorted(col, y)
-    if np.any(j == len(col)):
+    col, dcol = curve.on_grid(table)
+    c = np.broadcast_to(curve.column, y.shape)
+    j = np.empty(len(y), dtype=np.int64)
+    for u in range(col.shape[1]):
+        at = c == u
+        j[at] = np.searchsorted(col[:, u], y[at])
+    if np.any(j == len(table.v)):
         raise SolverError(f"no root in [1, {b_max}]")
     hi = np.clip(table.v[j], ly, v_top)
-    clipped = table.v[j] > v_top
-    if np.any(clipped):
-        g_top, _ = curve(v_top[clipped])
+    clipped = np.flatnonzero(table.v[j] > v_top)
+    if len(clipped):
+        g_top, _ = curve(v_top[clipped], clipped)
         if np.any(g_top < y[clipped]):
             raise SolverError(f"no root in [1, {b_max}]")
-    below = table.v[np.maximum(j - 1, 0)]
+    jb = np.maximum(j - 1, 0)
+    below = table.v[jb]
     first = (j == 0) | (below < ly)
     lo = np.where(first, ly, below)
     # start at log y where the root may sit at b = 1, so that one evaluation
-    # also settles E_null[T(E)] >= 1; elsewhere interpolate log G in the cell
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg_lo, lg_hi = np.log(col[np.maximum(j - 1, 0)]), np.log(col[j])
-        frac = (ly - lg_lo) / (lg_hi - lg_lo)
-    frac = np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5)
-    v = np.where(first, ly, lo + frac * (hi - lo))
+    # also settles E_null[T(E)] >= 1; elsewhere on the cubic through the cell
+    frac = _hermite_root(_TABLE_STEP, col[jb, c], col[j, c], dcol[jb, c], dcol[j, c], ly)
+    v = np.where(first, ly, np.clip(below + frac * _TABLE_STEP, lo, hi))
 
     # each factor is returned at the last point its G was evaluated, so the
     # residual check below rests on that evaluation
@@ -359,7 +449,7 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     pending = np.arange(len(y))
     for step in range(_POLISH_STEPS):
         vp, yp = v[pending], y[pending]
-        g, dg = curve(vp)
+        g, dg = curve(vp, pending)
         v_out[pending], g_out[pending] = vp, g
         if step == 0:
             at_one[pending] = first & (g >= yp)

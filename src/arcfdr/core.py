@@ -286,17 +286,20 @@ def minimal_k_pvalue(p: float, alpha: float, gamma: float) -> float:
 
 def needs(values, kind: ScoreKind, alpha: float, gammas) -> np.ndarray:
     """``minimal_k_evalue`` / ``minimal_k_pvalue`` of every score at its
-    weight (an array, or one weight for all), bit for bit, as a float array
-    with inf for no need.
+    weight, bit for bit, as a float array of the scores' shape with inf for
+    no need.  The weights broadcast against the scores: one per score, one
+    for all, or one per column of a 2-D array of streams.
 
     The float candidate is corrected by the scalar routines' own threshold
     comparisons, repeated until no element moves: the thresholds are
     monotone in k, so both arrive at the smallest qualifying k.
     """
     v = np.asarray(values, dtype=float)
+    shape = v.shape
     g = np.asarray(gammas, dtype=float)
-    if g.shape != v.shape:
-        g = np.broadcast_to(g, v.shape)
+    if g.shape != shape:
+        g = np.broadcast_to(g, shape)
+    v, g = v.ravel(), g.ravel()
     k = np.full(v.shape, math.inf)
     # e = inf, or p = 0, clears k = 1 at any positive weight, also where
     # alpha * gamma underflows to 0 and the quotient below is nan
@@ -316,7 +319,7 @@ def needs(values, kind: ScoreKind, alpha: float, gammas) -> np.ndarray:
             qualifies = lambda k: v <= k * ag  # noqa: E731
         k[at] = _least_k(np.maximum(1.0, np.ceil(kf[at])), qualifies)
     k[extreme] = 1.0
-    return k
+    return k.reshape(shape)
 
 
 def _least_k(k, qualifies) -> np.ndarray:

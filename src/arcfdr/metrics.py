@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -126,6 +127,50 @@ def fdp_path_from_rejection_times(rejection_times: dict, truth: GroundTruth,
     return FdpPath(_counts(times[nulls], n) / np.maximum(totals, 1))
 
 
+def cell_estimates(rejection_times, nulls: np.ndarray) -> dict:
+    """``estimate_metrics`` of the FDP paths and powers of m runs of one
+    procedure, from 2-D arrays: rejection_times[i] is run i's map
+    index -> first rejection time and nulls[i] its null mask (m x n).
+
+    One bincount and cumsum give every run's counts of all and of null
+    rejections up to each t, so each path and power equals the one of
+    ``fdp_path_from_rejection_times`` and ``power`` bit for bit."""
+    m, n = nulls.shape
+    if len(rejection_times) != m:
+        raise InputError(f"{len(rejection_times)} runs for {m} null masks")
+    if m < 2:
+        raise InputError("need at least 2 trials for standard errors")
+    sizes = np.fromiter(map(len, rejection_times), dtype=np.int64, count=m)
+    total = int(sizes.sum())
+    indices = np.fromiter(chain.from_iterable(rejection_times), dtype=np.int64,
+                          count=total)
+    times = np.fromiter(chain.from_iterable(rt.values() for rt in rejection_times),
+                        dtype=np.int64, count=total)
+    if total and not (1 <= min(times.min(), indices.min())
+                      and max(times.max(), indices.max()) <= n):
+        raise InputError(f"rejection index or time outside 1..{n}")
+    run = np.repeat(np.arange(m), sizes)
+    null = nulls[run, indices - 1]
+    slot = run * (n + 1) + times
+
+    def counts(at):
+        per_t = np.bincount(at, minlength=m * (n + 1)).reshape(m, n + 1)
+        return np.cumsum(per_t[:, 1:], axis=1)
+
+    false = counts(slot[null])
+    paths = false / np.maximum(counts(slot), 1)
+    powers = (sizes - false[:, -1]) / np.maximum(1, n - np.count_nonzero(nulls, axis=1))
+    return {"fdr_at_T": _mean_se(paths[:, -1]),
+            "sup_fdr": _mean_se(paths.max(axis=1)),
+            "power": _mean_se(powers)}
+
+
+def _mean_se(xs) -> tuple:
+    """Mean and standard error sd / sqrt(m) of m values."""
+    xs = np.array(xs, dtype=float)
+    return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(len(xs)))
+
+
 class StoppingRule:
     """A stopping time as a function of the observable history only.
 
@@ -178,21 +223,17 @@ def estimate_metrics(fdp_paths, power_values=None, K: int | None = None,
         if xs is not None and len(xs) != m:
             raise InputError(f"{len(xs)} {label} for {m} FDP paths")
 
-    def mean_se(xs):
-        xs = np.asarray(xs, dtype=float)
-        return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(m))
-
     out = {
-        "fdr_at_T": mean_se([p.values[-1] if p.values.size else 0.0 for p in paths]),
-        "sup_fdr": mean_se([p.sup_fdp for p in paths]),
+        "fdr_at_T": _mean_se([p.values[-1] if p.values.size else 0.0 for p in paths]),
+        "sup_fdr": _mean_se([p.sup_fdp for p in paths]),
     }
     if K is not None:
-        out["sup_fdr_K"] = mean_se([p.sup_upto(K) for p in paths])
+        out["sup_fdr_K"] = _mean_se([p.sup_upto(K) for p in paths])
     if stopping_rule is not None:
         if rejection_counts is None:
             raise InputError("stop_fdr needs per-trial rejection counts")
         stops = [stopping_rule.stop_time(c) for c in rejection_counts]
-        out["stop_fdr"] = mean_se([p.at(t) for p, t in zip(paths, stops)])
+        out["stop_fdr"] = _mean_se([p.at(t) for p, t in zip(paths, stops)])
     if power_values is not None:
-        out["power"] = mean_se(power_values)
+        out["power"] = _mean_se(power_values)
     return out

@@ -127,6 +127,48 @@ def step_up_reference(deadlines, qualifies):
     return rejection_times, kstar_path
 
 
+def boosted_reference(evalues, gammas, alpha: float, variant, factors,
+                      batch_size: int | None = None):
+    """Rejection times and k* path of boosted online e-BH by its definition:
+    online e-BH on T_t(b_t E_t), with T_t applied literally by
+    ``boosting.truncate`` at weight gamma_t and cutoff s = n, n the number of
+    e-values, and the step-up search of ``step_up_reference``.
+
+    Without a batch_size the variant is a global one and factors(0, None)
+    gives b_1..b_n.  With one, the variant is a local one: hypothesis t is
+    capped at the lag k0 = k*_{t-L_t-1}, L_t = (t-1) mod batch_size, read
+    from this reference's own k* path, and factors(start, k0) gives b_t for
+    the batch t = start+1 .. start+batch_size.
+    """
+    from .boosting import TruncationSpec, truncate
+
+    e = [float(x) for x in evalues]
+    g = [float(x) for x in gammas]
+    n = len(e)
+    x: list[float] = []  # T_t(b_t E_t), one batch at a time
+
+    def qualifies(t, i, k):
+        return x[i - 1] >= 1.0 / (k * (alpha * g[i - 1]))
+
+    def extend(start, b, lag):
+        for j, bt in enumerate(b):
+            t = start + j + 1
+            spec = TruncationSpec(variant, alpha, g[t - 1], s=n, lag_kstar=lag)
+            x.append(truncate(spec, float(bt) * e[t - 1]))
+
+    if batch_size is None:
+        extend(0, factors(0, None), None)
+        return step_up_reference([math.inf] * n, qualifies)
+    if n % batch_size:
+        raise InputError(f"n={n} not divisible by batch_size={batch_size}")
+    times, path = {}, []
+    for start in range(0, n, batch_size):
+        k0 = path[-1] if path else 0
+        extend(start, factors(start, k0), k0)
+        times, path = step_up_reference([math.inf] * len(x), qualifies)
+    return times, path
+
+
 def lord_levels(p, weights, alpha: float, w0: float | None = None):
     """LORD levels and rejection times from the formula of ``Lord``,
 

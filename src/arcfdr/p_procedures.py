@@ -104,15 +104,19 @@ class ShapeFunction:
 
     def needs(self, values, alpha: float, gammas):
         """``minimal_k`` of every p-value at its weight, bit for bit, as a
-        float array; None for a custom shape, which is searched per score."""
+        float array of the p-values' shape (the weights broadcast as in
+        ``core.needs``); None for a custom shape, which is searched per
+        score."""
         if self.variant == "identity":
             return needs(values, ScoreKind.P_VALUE, alpha, gammas)
         if self.variant == "custom":
             return None
         p = np.asarray(values, dtype=float)
+        shape = p.shape
         g = np.asarray(gammas, dtype=float)
-        if g.shape != p.shape:
-            g = np.broadcast_to(g, p.shape)
+        if g.shape != shape:
+            g = np.broadcast_to(g, shape)
+        p, g = p.ravel(), g.ravel()
         K, ell = self._K, self._ell
         k = np.full(p.shape, math.inf)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -123,7 +127,7 @@ class ShapeFunction:
             # fmax takes 1 where p = ag = 0
             kc = np.fmin(np.fmax(np.ceil(p * ell / ag), 1.0), K)
             k[at] = _least_k(kc, lambda kc: p <= ag * (np.minimum(kc, K) / ell))
-        return k
+        return k.reshape(shape)
 
 
 class OnlineBH(_KStarStepUpP):

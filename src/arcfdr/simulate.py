@@ -21,14 +21,9 @@ from .boosting import (
     TruncationVariant,
     solve_boost_factors,
 )
-from .core import ConfigError, WeightSequence
+from .core import ConfigError, ScoreKind, WeightSequence, needs
 from .e_procedures import ELond, OnlineEBH
-from .metrics import (
-    GroundTruth,
-    fdp_path_from_rejection_times,
-    power,
-    rejection_counts,
-)
+from .metrics import GroundTruth, cell_estimates, rejection_counts
 from .p_procedures import (
     Lond,
     Lord,
@@ -116,17 +111,36 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
     return GaussianTrial(z, x, evalues, pvalues, truth)
 
 
-def _boost_factors(cfg, variant, ts, cache, k0=None):
-    """b_t for a run ts of consecutive indices under one lag k0: one batched
-    solve on the setup's bracket table, memoized as one cache entry."""
-    key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, ts[0], len(ts), k0)
+def _boost_factors(cfg, variant, gammas, cache):
+    """b_t for t = 1..n at the global cutoff s = n, from the configuration's
+    weights gammas: one solve on the setup's bracket table, memoized as one
+    read-only cache entry."""
+    key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, 1, cfg.n, None)
     if key not in cache:
-        gammas = WeightSequence.geometric(cfg.q).gammas(ts[0], len(ts))
         b = solve_boost_factors(GaussianLRModel(cfg.mu_a), variant, cfg.alpha, gammas,
-                                cfg.n, lag_kstar=k0, table=_boost_table(cfg, cache))
+                                cfg.n, table=_boost_table(cfg, cache))
         b.flags.writeable = False
         cache[key] = b
     return cache[key]
+
+
+def _local_boost_factors(cfg, start, lags, gammas, cache):
+    """{k0: b_t for the batch t = start+1 .. start+batch_size at lag k0} for
+    every k0 in lags.  Each (batch, lag) is one read-only cache entry, and
+    the misses are solved in one call with one lag per target."""
+    bsz = cfg.batch_size
+    keys = {k0: (TruncationVariant.LOCAL_MINUS, cfg.mu_a, cfg.alpha, cfg.q, cfg.n,
+                 start + 1, bsz, k0) for k0 in lags}
+    miss = [k0 for k0, key in keys.items() if key not in cache]
+    if miss:
+        b = solve_boost_factors(GaussianLRModel(cfg.mu_a), TruncationVariant.LOCAL_MINUS,
+                                cfg.alpha, np.tile(gammas[start:start + bsz], len(miss)),
+                                cfg.n, lag_kstar=np.repeat(miss, bsz),
+                                table=_boost_table(cfg, cache))
+        b.flags.writeable = False
+        for i, k0 in enumerate(miss):
+            cache[keys[k0]] = b[i * bsz:(i + 1) * bsz]
+    return {k0: cache[key] for k0, key in keys.items()}
 
 
 def _boost_table(cfg, cache):
@@ -165,73 +179,119 @@ class ProcedureRun:
         return tuple(sorted(self.rejection_times))
 
 
-def _run_procedure(name: str, cfg: GaussianSetupConfig, trial: GaussianTrial,
-                   cache: dict) -> ProcedureRun:
-    weights = WeightSequence.geometric(cfg.q)
+# step-up and LOND procedures that read a need, by the needs they read
+_NEED_RULES = {"oe-bh": (OnlineEBH, "e"), "e-lond": (ELond, "e"),
+               "obh": (OnlineBH, "p"), "lond": (Lond, "p"),
+               "obr": (OnlineBR, "by"), "r-lond": (RLond, "by")}
+# procedures whose keys move with the stream: one run() per trial
+_STREAM_RULES = {"osbh": lambda w, cfg: OnlineStoreyBH(w, cfg.alpha, cfg.lam),
+                 "lord": lambda w, cfg: Lord(w, cfg.alpha),
+                 "saffron": lambda w, cfg: Saffron(w, cfg.alpha, cfg.lam)}
+
+
+class _Cell:
+    """The m trials of one configuration, as 2-D arrays of scores (one row
+    per trial), with the configuration's one weight sequence and one array
+    of its weights gamma_1..gamma_n."""
+
+    def __init__(self, cfg: GaussianSetupConfig, trials, cache: dict):
+        self.cfg, self.cache = cfg, cache
+        self.weights = WeightSequence.geometric(cfg.q)
+        self.gammas = self.weights.gammas(1, cfg.n)
+        self.evalues = np.array([tr.evalues for tr in trials])
+        self.pvalues = np.array([tr.pvalues for tr in trials])
+        self._needs = {}
+
+    def needs(self, key: str) -> np.ndarray:
+        """The needs of every trial's scores, computed once per cell for
+        the procedures that share them."""
+        if key not in self._needs:
+            cfg, g = self.cfg, self.gammas
+            if key == "e":
+                self._needs[key] = needs(self.evalues, ScoreKind.E_VALUE, cfg.alpha, g)
+            elif key == "p":
+                self._needs[key] = needs(self.pvalues, ScoreKind.P_VALUE, cfg.alpha, g)
+            else:
+                self._needs[key] = ShapeFunction.by(cfg.n).needs(self.pvalues, cfg.alpha, g)
+        return self._needs[key]
+
+
+def _feed(proc, keys, t0: int = 1):
+    """Feed the needs of hypotheses t0, t0 + 1, ... to proc: the part of
+    ``run()`` after its keys are computed.  The scores come from the
+    generator, so there is nothing to validate."""
+    proc._run(keys, t0)
+    return proc
+
+
+def _run_procedure(name: str, cell: _Cell) -> list:
+    """One procedure's ProcedureRun on every trial of a cell."""
+    cfg, weights = cell.cfg, cell.weights
     alpha, n = cfg.alpha, cfg.n
 
-    if name == "oe-bh":
-        proc = OnlineEBH(weights, alpha).run(trial.evalues)
-    elif name == "e-lond":
-        proc = ELond(weights, alpha).run(trial.evalues)
+    if name in _NEED_RULES:
+        rule, key = _NEED_RULES[name]
+        args = (ShapeFunction.by(n),) if key == "by" else ()
+        procs = [_feed(rule(weights, alpha, *args), row) for row in cell.needs(key)]
     elif name in _GLOBAL_BOOSTS:
         # feeding b_t * E_t to online e-BH is exact at s = n.  plus: the pass-
         # through region sits below every rejection threshold.  minus: truncation
         # only zeroes values whose need exceeds n >= k*_t and moves the rest down
         # to a grid value of the same need, so it changes no decision
-        b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], range(1, n + 1), cache)
-        proc = OnlineEBH(weights, alpha).run(b * trial.evalues)
+        b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], cell.gammas, cell.cache)
+        keys = needs(b * cell.evalues, ScoreKind.E_VALUE, alpha, cell.gammas)
+        procs = [_feed(OnlineEBH(weights, alpha), row) for row in keys]
     elif name == "oe-bh-boost-local":
-        # lag L_t = (t-1) mod batch_size, so k*_{t-L_t-1} is this run's own
-        # k* at the end of the previous batch; process batch by batch
-        proc = OnlineEBH(weights, alpha)
-        bsz = cfg.batch_size
-        for start in range(0, n, bsz):
-            b = _boost_factors(cfg, TruncationVariant.LOCAL_MINUS,
-                               range(start + 1, start + bsz + 1), cache,
-                               k0=proc.k_star)
-            # the lag cap 1/((k0+1) alpha gamma_t) only raises needs <= k0 to
-            # k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
-            # arrival either way, and needs below k*_t are never read again
-            proc.run(b * trial.evalues[start:start + bsz])
-    elif name == "obh":
-        proc = OnlineBH(weights, alpha).run(trial.pvalues)
-    elif name == "lond":
-        proc = Lond(weights, alpha).run(trial.pvalues)
-    elif name == "r-lond":
-        proc = RLond(weights, alpha, ShapeFunction.by(n)).run(trial.pvalues)
-    elif name == "obr":
-        proc = OnlineBR(weights, alpha, ShapeFunction.by(n)).run(trial.pvalues)
-    elif name == "osbh":
-        proc = OnlineStoreyBH(weights, alpha, cfg.lam).run(trial.pvalues)
-    elif name == "lord":
-        proc = Lord(weights, alpha).run(trial.pvalues)
-    elif name == "saffron":
-        proc = Saffron(weights, alpha, cfg.lam).run(trial.pvalues)
+        procs = _run_local_boost(cell)
     else:
-        raise ConfigError(f"unknown procedure {name!r}")
-    return ProcedureRun(name, n, dict(proc.rejection_times))
+        make = _STREAM_RULES[name]
+        procs = [make(weights, cfg).run(row) for row in cell.pvalues]
+    return [ProcedureRun(name, n, proc.rejection_times) for proc in procs]
+
+
+def _run_local_boost(cell: _Cell) -> list:
+    """Local boosting on every trial of a cell, batch by batch in lockstep.
+
+    The lag is L_t = (t-1) mod batch_size, so k*_{t-L_t-1} is each run's own
+    k* at the end of the previous batch.  A batch's factors at every trial's
+    lag come from one cache lookup per lag and one solve of the misses, and
+    its needs from one call over all trials."""
+    cfg, gammas = cell.cfg, cell.gammas
+    bsz = cfg.batch_size
+    procs = [OnlineEBH(cell.weights, cfg.alpha) for _ in range(cfg.m)]
+    for start in range(0, cfg.n, bsz):
+        lags = [proc.k_star for proc in procs]
+        factors = _local_boost_factors(cfg, start, lags, gammas, cell.cache)
+        b = np.array([factors[k0] for k0 in lags])
+        # the lag cap 1/((k0+1) alpha gamma_t) only raises needs <= k0 to
+        # k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
+        # arrival either way, and needs below k*_t are never read again
+        keys = needs(b * cell.evalues[:, start:start + bsz], ScoreKind.E_VALUE,
+                     cfg.alpha, gammas[start:start + bsz])
+        for proc, row in zip(procs, keys):
+            _feed(proc, row, start + 1)
+    return procs
 
 
 def run_trials(cfg: GaussianSetupConfig, procedures, cache: dict | None = None):
     """Run each procedure on m freshly generated trials.
 
-    Returns (runs, truths): runs[name][i] is the ProcedureRun of trial i,
-    truths[i] its ground truth.  Boost factors are memoized in ``cache``, or
-    in one dict for the whole call when none is passed.
+    The cell's trials are generated first, each on its own substream, and
+    then each procedure runs over all of them.  Returns (runs, truths):
+    runs[name][i] is the ProcedureRun of trial i, truths[i] its ground truth.
+    Boost factors are memoized in ``cache``, or in one dict for the whole
+    call when none is passed.
     """
     cache = {} if cache is None else cache
     procedures = list(procedures)
     unknown = [p for p in procedures if p not in ALL_PROCEDURES]
     if unknown:
         raise ConfigError(f"unknown procedures: {unknown}")
-    runs = {name: [] for name in procedures}
-    truths = []
-    for i in range(cfg.m):
-        trial = generate_gaussian_trial(cfg, trial_rng(cfg.seed, i))
-        truths.append(trial.truth)
-        for name in procedures:
-            runs[name].append(_run_procedure(name, cfg, trial, cache))
+    trials = [generate_gaussian_trial(cfg, trial_rng(cfg.seed, i)) for i in range(cfg.m)]
+    cell = _Cell(cfg, trials, cache)
+    truths = [trial.truth for trial in trials]
+    del trials  # the cell holds the scores
+    runs = {name: _run_procedure(name, cell) for name in procedures}
     return runs, truths
 
 
@@ -239,8 +299,6 @@ def run_experiment(cfg: GaussianSetupConfig, procedures, pi_as=None,
                    cache: dict | None = None):
     """Tidy result rows (power, FDR, SupFDR with SEs) per procedure and pi_A.
     Without a ``cache``, one dict serves every pi_A of the call."""
-    from .metrics import estimate_metrics
-
     cache = {} if cache is None else cache
     pi_as = [cfg.pi_a] if pi_as is None else list(pi_as)
     if not list(procedures):
@@ -249,12 +307,9 @@ def run_experiment(cfg: GaussianSetupConfig, procedures, pi_as=None,
     for pi_a in pi_as:
         sub = replace(cfg, pi_a=pi_a)
         runs, truths = run_trials(sub, procedures, cache=cache)
+        nulls = np.array([truth.labels for truth in truths], dtype=bool)
         for name in procedures:
-            paths = [fdp_path_from_rejection_times(r.rejection_times, tr, sub.n)
-                     for r, tr in zip(runs[name], truths)]
-            powers = [power(r.final_rejections, tr)
-                      for r, tr in zip(runs[name], truths)]
-            est = estimate_metrics(paths, power_values=powers)
+            est = cell_estimates([r.rejection_times for r in runs[name]], nulls)
             for metric, key in (("power", "power"), ("fdr", "fdr_at_T"),
                                 ("sup_fdr", "sup_fdr")):
                 value, se = est[key]

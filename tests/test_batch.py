@@ -322,3 +322,23 @@ class TestBatchValidation:
         proc.step(0.0)
         proc.run([])
         assert proc.newly_rejected == (1,) and proc.t == 1
+
+
+@pytest.mark.parametrize("kind", [E, P])
+def test_needs_of_stacked_streams_equal_row_by_row(kind):
+    # a 2-D array of streams against one weight per column, as the harness
+    # passes its trials: each row equals its own call, and BY's needs too
+    rng = np.random.default_rng(3)
+    gammas = np.array(GAMMAS * 3)
+    rows = [rng.permutation(boundary_scores(kind, 0.05, 0.01))[:len(gammas)]
+            for _ in range(4)]
+    stacked = np.array(rows)
+    got = needs(stacked, kind, 0.05, gammas)
+    assert got.shape == stacked.shape
+    for row, want in zip(got, rows):
+        np.testing.assert_array_equal(row, needs(want, kind, 0.05, gammas))
+    if kind is P:
+        by = ShapeFunction.by(50)
+        got = by.needs(stacked, 0.05, gammas)
+        for row, want in zip(got, rows):
+            np.testing.assert_array_equal(row, by.needs(want, 0.05, gammas))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,20 @@ class TestTruncate:
     def test_negative_input(self):
         with pytest.raises(InputError):
             truncate(spec(TruncationVariant.FULL), -1.0)
+
+    @pytest.mark.parametrize("variant, kw", [
+        (TruncationVariant.FULL, {}), (TruncationVariant.LOCAL, {"lag_kstar": 3}),
+        (TruncationVariant.MINUS, {"s": 10}), (TruncationVariant.LOCAL_PLUS,
+                                               {"s": 10, "lag_kstar": 3})])
+    def test_underflowing_weight_is_zero_weight(self, variant, kw):
+        # alpha * gamma underflows to 0: the same output as gamma = 0, and
+        # no division by zero or numpy warning on the way
+        sub = TruncationSpec(variant, 0.05, 5e-324, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert truncate(sub, 2.0) == 0.0
+            np.testing.assert_array_equal(
+                truncate(sub, np.array([0.0, 2.0, 1e300, math.inf])), np.zeros(4))
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -308,6 +323,55 @@ class TestSolverProperties:
         assert expected_truncated_value(model, sp, 10.0) < 1.0
         with pytest.raises(SolverError):
             solve_boost_factor(model, sp, b_max=10.0)
+
+    @pytest.mark.parametrize("delta, s", [(3.5, 200), (1.0, 37), (4.5, 1000)])
+    def test_one_lag_per_target_equals_per_lag_solves(self, delta, s):
+        # lags 0, s - 1 and at or above s (every bracket capped), in one call
+        model = GaussianLRModel(delta)
+        gammas = 0.01 * 0.99 ** np.arange(0, s, max(1, s // 20))
+        lags = [0, 1, 7, s - 1, s, s + 5]
+        variant = TruncationVariant.LOCAL_MINUS
+        singles = [solve_boost_factors(model, variant, 0.05, gammas, s, lag_kstar=k0)
+                   for k0 in lags]
+        order = np.random.default_rng(s).permutation(len(lags) * len(gammas))
+        y, k = np.tile(gammas, len(lags))[order], np.repeat(lags, len(gammas))[order]
+        joint = np.empty(len(order))
+        joint[order] = solve_boost_factors(model, variant, 0.05, y, s, lag_kstar=k)
+        np.testing.assert_allclose(joint, np.concatenate(singles), rtol=1e-10, atol=0)
+        # a target's factor does not depend on its company
+        np.testing.assert_array_equal(joint, np.concatenate(singles))
+
+    def test_one_lag_per_target_at_b_one(self):
+        # a weight so small that E_null[T(E)] = 1 in floating point: b = 1 at
+        # every lag, settled by the first evaluation
+        model = GaussianLRModel(1.0)
+        b = solve_boost_factors(model, TruncationVariant.LOCAL_PLUS, 0.05,
+                                [1e-9, 1e-9, 1e-9, 0.01], 5, lag_kstar=[0, 2, 4, 2])
+        assert b[:3].tolist() == [1.0, 1.0, 1.0] and b[3] > 1.0
+        single = solve_boost_factors(model, TruncationVariant.LOCAL_PLUS, 0.05,
+                                     [0.01], 5, lag_kstar=2)
+        assert b[3] == single[0]
+
+    def test_one_lag_per_target_raises_for_any_target(self):
+        # delta = 0.5 and b <= 10 reach the root at lags 0 and 4, not at 9
+        model = GaussianLRModel(0.5)
+        args = (model, TruncationVariant.LOCAL_MINUS, 1.0)
+        for k0 in (0, 4):
+            assert solve_boost_factors(*args, [0.1], 5, lag_kstar=k0, b_max=10.0) > 1.0
+        with pytest.raises(SolverError):
+            solve_boost_factors(*args, [0.1], 5, lag_kstar=9, b_max=10.0)
+        with pytest.raises(SolverError):
+            solve_boost_factors(*args, [0.1, 0.1, 0.1], 5, lag_kstar=[0, 9, 4],
+                                b_max=10.0)
+
+    def test_lags_match_the_targets(self):
+        model = GaussianLRModel(3.0)
+        with pytest.raises(ConfigError):
+            solve_boost_factors(model, TruncationVariant.LOCAL_MINUS, ALPHA,
+                                [GAMMA, GAMMA], 100, lag_kstar=[1, 2, 3])
+        with pytest.raises(ConfigError):
+            solve_boost_factors(model, TruncationVariant.LOCAL_MINUS, ALPHA,
+                                [GAMMA, GAMMA], 100, lag_kstar=[1, -1])
 
     def test_local_minus_cap_above_cutoff(self):
         # k0 + 1 > s caps every bracket at 1/((k0+1) ag)

@@ -7,6 +7,7 @@ from arcfdr.metrics import (
     FdpPath,
     GroundTruth,
     StoppingRule,
+    cell_estimates,
     estimate_metrics,
     fdp,
     fdp_path_from_rejection_times,
@@ -189,3 +190,34 @@ class TestEstimateMetrics:
                                rejection_counts=[[0, 1, 1]] * 3)
         assert out["stop_fdr"][0] == pytest.approx(0.5 / 3)
         assert out["power"][0] == pytest.approx(0.5)
+
+
+class TestCellEstimates:
+    def runs(self, m=6, n=30, seed=0):
+        rng = np.random.default_rng(seed)
+        nulls = rng.random((m, n)) < 0.6
+        times = []
+        for _ in range(m):
+            rejected = rng.choice(n, size=rng.integers(0, n // 2), replace=False) + 1
+            times.append({int(i): int(rng.integers(i, n + 1)) for i in rejected})
+        return times, nulls
+
+    def test_equals_per_run_estimates_bit_for_bit(self):
+        for seed in range(5):
+            times, nulls = self.runs(seed=seed)
+            truths = [GroundTruth(tuple(bool(v) for v in row)) for row in nulls]
+            n = nulls.shape[1]
+            paths = [fdp_path_from_rejection_times(rt, tr, n)
+                     for rt, tr in zip(times, truths)]
+            powers = [power(tuple(sorted(rt)), tr) for rt, tr in zip(times, truths)]
+            assert cell_estimates(times, nulls) == estimate_metrics(
+                paths, power_values=powers)
+
+    def test_checks_its_input(self):
+        times, nulls = self.runs()
+        with pytest.raises(InputError):
+            cell_estimates(times[:1], nulls[:1])  # one trial has no standard error
+        with pytest.raises(InputError):
+            cell_estimates(times[:-1], nulls)
+        with pytest.raises(InputError):
+            cell_estimates([{1: 31}] + times[1:], nulls)

@@ -3,9 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcfdr import simulate
-from arcfdr.core import ConfigError
+from arcfdr.boosting import GaussianLRModel, TruncationVariant, solve_boost_factors
+from arcfdr.core import ConfigError, WeightSequence
+from arcfdr.e_procedures import ELond, OnlineEBH
+from arcfdr.oracles import boosted_reference
+from arcfdr.p_procedures import (Lond, Lord, OnlineBH, OnlineBR, OnlineStoreyBH,
+                                 RLond, Saffron, ShapeFunction)
 from arcfdr.simulate import (
     ALL_PROCEDURES,
     AdversarialConfig,
@@ -144,21 +151,47 @@ class TestRunTrials:
         second, _ = run_trials(cfg, names, cache=cache)
         assert second == first
 
-    def test_cache_holds_one_entry_per_solve(self, monkeypatch):
+    def test_cache_holds_one_entry_per_batch_and_lag(self, monkeypatch):
         solves = []
         solve = simulate.solve_boost_factors
         monkeypatch.setattr(simulate, "solve_boost_factors",
-                            lambda *a, **k: solves.append(len(a[3])) or solve(*a, **k))
+                            lambda *a, **k: solves.append((a[3], k.get("lag_kstar")))
+                            or solve(*a, **k))
         cfg = GaussianSetupConfig(n=200, batch_size=20, m=4, seed=17)
         cache = {}
         run_experiment(cfg, ALL_PROCEDURES, pi_as=[0.1, 0.3], cache=cache)
         # one table, one solve of all 200 weights per global cutoff, and one
-        # of 20 per (batch, lag) of the local runs
-        assert len(cache) == len(solves) + 1
-        assert solves.count(200) == 2 and set(solves) == {20, 200}
-        factors = [v for v in cache.values() if isinstance(v, np.ndarray)]
-        assert len(factors) == len(solves)
-        assert not any(b.flags.writeable for b in factors)
+        # read-only entry per (batch, lag) of the local runs
+        factors = {k: v for k, v in cache.items() if isinstance(v, np.ndarray)}
+        assert len(cache) == len(factors) + 1
+        assert not any(b.flags.writeable for b in factors.values())
+        local = [k for k in factors if k[0] is TruncationVariant.LOCAL_MINUS]
+        assert len(factors) == len(local) + 2
+        assert all(len(factors[k]) == 20 for k in local)
+        assert [len(g) for g, lag in solves if lag is None] == [200, 200]
+        # each (batch, lag) solved once, and at most one local solve per
+        # (cell, batch): its misses at every lag of the batch together
+        local_solves = [(g, lag) for g, lag in solves if lag is not None]
+        assert sum(len(lag) for _, lag in local_solves) == 20 * len(local)
+        batches = [float(g[0]) for g, _ in local_solves]
+        assert max(batches.count(b) for b in batches) <= 2
+        assert len(local_solves) <= 2 * cfg.n // cfg.batch_size
+        for g, lag in local_solves:
+            lags = np.unique(lag)
+            assert len(lag) == 20 * len(lags)
+            assert all(np.sum(lag == k0) == 20 for k0 in lags)
+
+    def test_one_weights_array_per_run_trials_call(self, monkeypatch):
+        calls = []
+        gammas = WeightSequence.gammas
+        monkeypatch.setattr(WeightSequence, "gammas",
+                            lambda self, t, n: calls.append((t, n)) or gammas(self, t, n))
+        cfg = GaussianSetupConfig(n=200, batch_size=20, m=3, pi_a=0.3, seed=19)
+        run_trials(cfg, ALL_PROCEDURES)
+        assert calls == [(1, 200)]
+        calls.clear()
+        run_experiment(cfg, ALL_PROCEDURES, pi_as=[0.1, 0.3])
+        assert calls == [(1, 200)] * 2
 
     def test_no_cache_shares_one_dict_per_call(self, monkeypatch):
         solves = []
@@ -317,3 +350,92 @@ def test_boosted_runs_pinned():
                 path.append(k)
             assert run.rejection_times == times, (name, i)
             assert run.kstar_path == path, (name, i)
+
+
+def per_trial_run(name, cfg, trial, solved):
+    """One procedure on one trial through run(), with its own factor solves
+    (one lag per call, memoized in ``solved``)."""
+    weights = WeightSequence.geometric(cfg.q)
+    alpha, n = cfg.alpha, cfg.n
+    model = GaussianLRModel(cfg.mu_a)
+    e, p = trial.evalues, trial.pvalues
+    by = ShapeFunction.by(n)
+    if name == "oe-bh-boost-local":
+        proc, bsz = OnlineEBH(weights, alpha), cfg.batch_size
+        for start in range(0, n, bsz):
+            key = (start, proc.k_star)
+            if key not in solved:
+                solved[key] = solve_boost_factors(
+                    model, TruncationVariant.LOCAL_MINUS, alpha,
+                    weights.gammas(start + 1, bsz), n, lag_kstar=proc.k_star)
+            proc.run(solved[key] * e[start:start + bsz])
+        return proc
+    if name in ("oe-bh-boost", "oe-bh-boost-minus"):
+        variant = (TruncationVariant.PLUS if name == "oe-bh-boost"
+                   else TruncationVariant.MINUS)
+        if variant not in solved:
+            solved[variant] = solve_boost_factors(model, variant, alpha,
+                                                  weights.gammas(1, n), n)
+        return OnlineEBH(weights, alpha).run(solved[variant] * e)
+    make = {"oe-bh": lambda: OnlineEBH(weights, alpha).run(e),
+            "e-lond": lambda: ELond(weights, alpha).run(e),
+            "obh": lambda: OnlineBH(weights, alpha).run(p),
+            "lond": lambda: Lond(weights, alpha).run(p),
+            "r-lond": lambda: RLond(weights, alpha, by).run(p),
+            "obr": lambda: OnlineBR(weights, alpha, by).run(p),
+            "osbh": lambda: OnlineStoreyBH(weights, alpha, cfg.lam).run(p),
+            "lord": lambda: Lord(weights, alpha).run(p),
+            "saffron": lambda: Saffron(weights, alpha, cfg.lam).run(p)}
+    return make[name]()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("pi_a", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [200, 1000])
+def test_procedure_major_equals_per_trial_runs(seed, pi_a, n):
+    """run_trials runs each procedure over a cell's trials at once, and
+    boost-local solves in lockstep across them; each run equals the same
+    procedure's run() on its trial alone.  Below n = 1000 the whole roster
+    is checked, at n = 1000 boost-local."""
+    names = list(ALL_PROCEDURES) if n == 200 else ["oe-bh-boost-local"]
+    cfg = GaussianSetupConfig(n=n, m=3, pi_a=pi_a, seed=seed)
+    runs, truths = run_trials(cfg, names)
+    solved = {}
+    for i in range(cfg.m):
+        trial = generate_gaussian_trial(cfg, trial_rng(cfg.seed, i))
+        assert truths[i] == trial.truth
+        for name in names:
+            want = per_trial_run(name, cfg, trial, solved)
+            assert runs[name][i].rejection_times == want.rejection_times, (name, i)
+
+
+BOOSTED_VARIANTS = {"oe-bh-boost": TruncationVariant.PLUS,
+                    "oe-bh-boost-minus": TruncationVariant.MINUS,
+                    "oe-bh-boost-local": TruncationVariant.LOCAL_MINUS}
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95), st.floats(2.0, 5.0))
+@settings(max_examples=20, deadline=None)
+def test_boosted_runs_equal_their_definition(seed, pi_a, mu_a):
+    """The boosted runs feed b_t E_t to online e-BH, without truncation or
+    the lag cap; at every t they equal e-BH on the truncated values."""
+    cfg = GaussianSetupConfig(n=40, m=2, batch_size=10, pi_a=pi_a, mu_a=mu_a,
+                              seed=seed)
+    cache = {}
+    runs, _ = run_trials(cfg, list(BOOSTED_VARIANTS), cache=cache)
+    gammas = WeightSequence.geometric(cfg.q).gammas(1, cfg.n)
+
+    def local(start, k0):
+        return simulate._local_boost_factors(cfg, start, [k0], gammas, cache)[k0]
+
+    for i in range(cfg.m):
+        e = generate_gaussian_trial(cfg, trial_rng(cfg.seed, i)).evalues
+        for name, variant in BOOSTED_VARIANTS.items():
+            if variant is TruncationVariant.LOCAL_MINUS:
+                factors, batch = local, cfg.batch_size
+            else:
+                factors, batch = (lambda start, k0, v=variant:
+                                  simulate._boost_factors(cfg, v, gammas, cache)), None
+            times, path = boosted_reference(e, gammas, cfg.alpha, variant, factors, batch)
+            assert runs[name][i].rejection_times == times, (name, i)
+            assert runs[name][i].kstar_path == path, (name, i)
