@@ -36,7 +36,6 @@ from .boosting import (
     TruncationVariant,
     check_transform_condition,
     expected_truncated_value,
-    phi,
     solve_boost_factor,
     truncate,
 )

@@ -43,8 +43,8 @@ class TruncationSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha={self.alpha} outside (0, 1]")
-        if self.gamma < 0.0:
-            raise ConfigError(f"gamma={self.gamma} is negative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma={self.gamma} is negative or not finite")
         v = self.variant
         if v in (TruncationVariant.PLUS, TruncationVariant.MINUS,
                  TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS):
@@ -125,74 +125,6 @@ class GaussianLRModel:
 
     def evalue(self, z):
         return np.exp(self.delta * np.asarray(z, dtype=float) - self.delta ** 2 / 2.0)
-
-
-def phi(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _tail_probs(model, ag, b, ks):
-    """P(b*E >= 1/(k*ag)) for each k in ks, vectorized."""
-    d = model.delta
-    return 1.0 - ndtr(d / 2.0 - np.log(ks * ag * b) / d)
-
-
-def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: float) -> float:
-    """Closed-form E_null[T(b * E)] for the cutoff variants.
-
-    Built from normal CDF terms: the bracket probabilities
-    P(1/(k ag) <= bE < 1/((k-1) ag)) weighted by grid values 1/(k ag), a
-    pass-through term E[bE 1{bE < 1/(s ag)}] for the Plus variants, and a cap
-    at 1/((k0+1) ag) for the Local variants.  The PRDS variant instead
-    evaluates the criterion sup_k P(bE >= 1/(k ag)) / (k ag).
-    """
-    if b < 0.0:
-        raise InputError(f"b={b} is negative")
-    if spec.gamma == 0.0:
-        return 0.0
-    if b == 0.0:
-        return 0.0
-    v = spec.variant
-    s = spec.cutoff_s
-    if not math.isfinite(s):
-        raise ConfigError(f"no closed form for variant {v.value} without a cutoff")
-    s = int(s)
-    ag = spec.alpha * spec.gamma
-    d = model.delta
-
-    ks = np.arange(1, s + 1, dtype=float)
-    tails = _tail_probs(model, ag, b, ks)  # P(bE >= 1/(k ag)), nondecreasing in k
-
-    if v is TruncationVariant.PRDS:
-        return float(np.max(tails / (ks * ag)))
-
-    # E[bE 1{bE < 1/(s ag)}] = b * Phi(-d/2 - log(s ag b)/d)
-    pass_through = b * float(ndtr(-d / 2.0 - math.log(s * ag * b) / d))
-
-    if v in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS):
-        k0 = spec.lag_kstar
-        cap = 1.0 / ((k0 + 1) * ag)
-        m = min(k0 + 1, s)
-        # brackets k <= k0+1 are capped; k in (k0+1, s] keep their grid value
-        total = float(tails[m - 1]) * cap
-        if k0 + 2 <= s:
-            brackets = np.diff(np.concatenate(([0.0], tails)))
-            idx = np.arange(k0 + 1, s)  # zero-based positions of k = k0+2 .. s
-            total += float(np.sum(brackets[idx] / (ks[idx] * ag)))
-        if v is TruncationVariant.LOCAL_PLUS:
-            if k0 + 1 > s:
-                raise ConfigError("local_plus needs s >= lag_kstar + 1")
-            total += pass_through
-        return total
-
-    brackets = np.diff(np.concatenate(([0.0], tails)))
-    total = float(np.sum(brackets / (ks * ag)))
-    if v is TruncationVariant.PLUS:
-        total += pass_through
-    elif v not in (TruncationVariant.MINUS, TruncationVariant.TOAD):
-        raise ConfigError(f"no closed form for variant {v.value}")
-    return total
 
 
 B_MAX = 1e6             # default upper limit of a boosting factor
@@ -401,9 +333,9 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     Newton iteration in log G on exact evaluations, or bisection for PRDS,
     then polishes all pending targets at once.  b_t = 1 where
     E_null[T_t(E)] >= 1 already.  A target's factor does not depend on which
-    other targets or lags share the call.  Raises SolverError for a zero
-    weight, for no root in [1, b_max], or for a residual
-    |E_null[T_t(b_t E)] - 1| above 1e-6.
+    other targets or lags share the call.  Raises ConfigError for a
+    non-finite weight, and SolverError for a zero weight, for no root in
+    [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6.
     """
     if b_max < 1.0:
         raise ConfigError(f"b_max={b_max} is below 1")
@@ -411,6 +343,8 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     y = alpha * np.atleast_1d(np.asarray(gammas, dtype=float))
     if len(curve.column) not in (1, len(y)):
         raise ConfigError(f"{len(curve.column)} lags for {len(y)} weights")
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("weights must be finite")
     if np.any(y <= 0.0):
         raise SolverError("gamma = 0: truncation is identically 0, no root")
     ly = np.log(y)
@@ -478,6 +412,30 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     return b
 
 
+def _curve_args(spec: TruncationSpec):
+    """The (variant, s, lag) of the BoostCurve of a spec with a cutoff."""
+    s = spec.cutoff_s
+    if not math.isfinite(s):
+        raise ConfigError(f"no closed form for variant {spec.variant.value} without a cutoff")
+    return spec.variant, int(s), spec.lag_kstar
+
+
+def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: float) -> float:
+    """E_null[T(b * E)] for the cutoff variants: G(log(alpha gamma b)) /
+    (alpha gamma) on the BoostCurve of the spec, the curve the solver finds
+    its roots on.  For PRDS this is the criterion sup_k P(bE >= 1/(k ag)) /
+    (k ag).  0 for b = 0 or a weight alpha*gamma of 0.
+    """
+    if not b >= 0.0:
+        raise InputError(f"b={b} is not a nonnegative number")
+    ag = spec.alpha * spec.gamma
+    if ag == 0.0 or b == 0.0:
+        return 0.0
+    variant, s, lag = _curve_args(spec)
+    g, _ = BoostCurve(model.delta, variant, s, lag)(np.array([math.log(ag) + math.log(b)]))
+    return float(g[0]) / ag
+
+
 def solve_boost_factor(model: GaussianLRModel, spec: TruncationSpec,
                        b_max: float = B_MAX) -> float:
     """Largest valid boosting factor: the b >= 1 with E_null[T(b*E)] = 1.
@@ -486,13 +444,9 @@ def solve_boost_factor(model: GaussianLRModel, spec: TruncationSpec,
     already, SolverError for gamma = 0, for no root in [1, b_max] or for a
     residual above 1e-6.
     """
-    if spec.gamma == 0.0:
-        raise SolverError("gamma = 0: truncation is identically 0, no root")
-    s = spec.cutoff_s
-    if not math.isfinite(s):
-        raise ConfigError(f"no closed form for variant {spec.variant.value} without a cutoff")
-    b = solve_boost_factors(model, spec.variant, spec.alpha, [spec.gamma], int(s),
-                            lag_kstar=spec.lag_kstar, b_max=b_max)
+    variant, s, lag = _curve_args(spec)
+    b = solve_boost_factors(model, variant, spec.alpha, [spec.gamma], s,
+                            lag_kstar=lag, b_max=b_max)
     return float(b[0])
 
 

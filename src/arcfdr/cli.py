@@ -178,9 +178,9 @@ _BOOST_PRESET = (
 
 
 def cmd_boost_factor(args) -> int:
-    from .boosting import (GaussianLRModel, SolverError, TruncationSpec,
-                           TruncationVariant, expected_truncated_value,
-                           solve_boost_factor)
+    from .boosting import (_RESIDUAL_MAX, GaussianLRModel, SolverError,
+                           TruncationSpec, TruncationVariant, solve_boost_factor)
+    from .oracles import expected_truncated_reference
 
     defaults = {"preset": None, "variant": "plus", "alpha": 0.05,
                 "gamma": 0.01, "s": 100, "lag": None, "delta": 3.0}
@@ -201,9 +201,14 @@ def cmd_boost_factor(args) -> int:
                                   s=s, lag_kstar=lag)
             model = GaussianLRModel(delta)
             b = solve_boost_factor(model, spec)
-            residual = expected_truncated_value(model, spec, b) - 1.0
+            # against the bracket sum, not the solver's own curve
+            residual = expected_truncated_reference(model, spec, b) - 1.0
             lag_str = "-" if lag is None else str(lag)
             print(f"{variant:<12} {s:>5} {lag_str:>4} {b:>10.4f} {residual:>10.2e}")
+            if not abs(residual) <= _RESIDUAL_MAX:
+                print(f"{variant} s={s} lag={lag}: residual against the "
+                      f"reference exceeds {_RESIDUAL_MAX}", file=sys.stderr)
+                status = 1
         except (SolverError, ValueError) as exc:
             print(f"{variant} s={s} lag={lag}: {exc}", file=sys.stderr)
             status = 1

@@ -109,16 +109,12 @@ class StreamProcedure:
         self._rejected_tuple = None
 
     def _feed(self, score) -> list:
-        """Advance one step and keep the books (``_record``, inlined: this is
-        the per-step path)."""
+        """Advance one step and keep the books."""
         t = self.t + 1
         new = self._place(self._need(score_value(score, self.kind), t), t)
         self.t = t
         if new:
-            for i in new:
-                self.rejection_times[i] = t
-                insort(self._rejected_sorted, i)
-            self._rejected_tuple = None
+            self._record(new, t)
         return new
 
     def step(self, score) -> RejectionSet:

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.special import ndtr
+
 from .core import ConfigError, InputError
 from .metrics import GroundTruth
 
@@ -167,6 +170,42 @@ def boosted_reference(evalues, gammas, alpha: float, variant, factors,
         extend(start, factors(start, k0), k0)
         times, path = step_up_reference([math.inf] * len(x), qualifies)
     return times, path
+
+
+def expected_truncated_reference(model, spec, b: float) -> float:
+    """E_null[T(b * E)] for the cutoff variants by the bracket sum, the
+    reference for ``boosting.expected_truncated_value`` and its solver.
+
+    Each bracket probability P(1/(k ag) <= bE < 1/((k-1) ag)), a difference
+    of the tails 1 - Phi(delta/2 - log(k ag b)/delta), is weighted by the
+    grid value 1/(k ag), capped at 1/((k0+1) ag) for the Local variants;
+    the Plus variants add the pass-through term E[bE 1{bE < 1/(s ag)}].
+    PRDS instead evaluates the criterion sup_k P(bE >= 1/(k ag)) / (k ag).
+    """
+    from .boosting import TruncationVariant as V
+
+    if b < 0.0:
+        raise InputError(f"b={b} is negative")
+    if spec.gamma == 0.0 or b == 0.0:
+        return 0.0
+    v, s, k0 = spec.variant, spec.cutoff_s, spec.lag_kstar
+    if v in (V.FULL, V.LOCAL) or not math.isfinite(s):
+        raise ConfigError(f"no closed form for variant {v.value}")
+    s, ag, d = int(s), spec.alpha * spec.gamma, model.delta
+    ks = np.arange(1, s + 1, dtype=float)
+    tails = 1.0 - ndtr(d / 2.0 - np.log(ks * ag * b) / d)  # P(bE >= 1/(k ag))
+    if v is V.PRDS:
+        return float(np.max(tails / (ks * ag)))
+    values = 1.0 / (ks * ag)
+    if k0 is not None:
+        values = np.minimum(values, 1.0 / ((k0 + 1) * ag))
+    total = float(np.sum(np.diff(tails, prepend=0.0) * values))
+    if v in (V.PLUS, V.LOCAL_PLUS):
+        if k0 is not None and k0 + 1 > s:
+            raise ConfigError("local_plus needs s >= lag_kstar + 1")
+        # E[bE 1{bE < 1/(s ag)}] = b * Phi(-d/2 - log(s ag b)/d)
+        total += b * float(ndtr(-d / 2.0 - math.log(s * ag * b) / d))
+    return total
 
 
 def lord_levels(p, weights, alpha: float, w0: float | None = None):

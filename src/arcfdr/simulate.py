@@ -303,6 +303,8 @@ def run_experiment(cfg: GaussianSetupConfig, procedures, pi_as=None,
     pi_as = [cfg.pi_a] if pi_as is None else list(pi_as)
     if not list(procedures):
         raise ConfigError("empty procedure roster")
+    if cfg.m < 2:
+        raise ConfigError(f"m={cfg.m}: need at least 2 trials for standard errors")
     rows = []
     for pi_a in pi_as:
         sub = replace(cfg, pi_a=pi_a)

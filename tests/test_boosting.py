@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from arcfdr.boosting import (
     B_MAX,
@@ -15,12 +16,12 @@ from arcfdr.boosting import (
     TruncationVariant,
     check_transform_condition,
     expected_truncated_value,
-    phi,
     solve_boost_factor,
     solve_boost_factors,
     truncate,
 )
 from arcfdr.core import ConfigError, InputError
+from arcfdr.oracles import expected_truncated_reference
 from arcfdr.p_procedures import ShapeFunction
 
 ALPHA, GAMMA = 0.05, 0.01
@@ -101,6 +102,8 @@ class TestTruncate:
             assert truncate(sub, 2.0) == 0.0
             np.testing.assert_array_equal(
                 truncate(sub, np.array([0.0, 2.0, 1e300, math.inf])), np.zeros(4))
+            if math.isfinite(sub.cutoff_s):
+                assert expected_truncated_value(GaussianLRModel(3.0), sub, 2.0) == 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -111,6 +114,11 @@ class TestTruncate:
             spec(TruncationVariant.TOAD)  # missing d
         with pytest.raises(ConfigError):
             TruncationSpec(TruncationVariant.FULL, 0.0, 0.01)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            TruncationSpec(TruncationVariant.MINUS, 0.05, gamma, s=10)
 
     @given(st.floats(min_value=1e-3, max_value=1e9), st.integers(1, 50),
            st.integers(0, 20))
@@ -129,18 +137,6 @@ class TestTruncate:
         assert truncate(full, tf) == tf
         tm = truncate(minus, x)
         assert truncate(minus, tm) == tm
-
-
-class TestPhi:
-    def test_zero(self):
-        assert phi(0.0) == 0.5
-
-    def test_reference_quantile(self):
-        assert phi(1.959963984540054) == pytest.approx(0.975, abs=1e-9)
-
-    @given(st.floats(min_value=-8.0, max_value=8.0))
-    def test_symmetry(self, z):
-        assert phi(z) + phi(-z) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectedValue:
@@ -168,7 +164,7 @@ class TestExpectedValue:
                 ev_minus = expected_truncated_value(
                     model, spec(TruncationVariant.MINUS, s=s), b)
                 d = model.delta
-                pass_through = b * phi(-d / 2.0 - math.log(s * AG * b) / d)
+                pass_through = b * ndtr(-d / 2.0 - math.log(s * AG * b) / d)
                 assert ev_plus - ev_minus == pytest.approx(pass_through, rel=1e-12)
 
     def test_monotone_in_b(self):
@@ -180,6 +176,11 @@ class TestExpectedValue:
     def test_zero_b(self):
         model = GaussianLRModel(3.0)
         assert expected_truncated_value(model, spec(TruncationVariant.MINUS, s=5), 0.0) == 0.0
+
+    def test_nan_b(self):
+        with pytest.raises(InputError):
+            expected_truncated_value(GaussianLRModel(3.0),
+                                     spec(TruncationVariant.MINUS, s=5), math.nan)
 
     def test_full_needs_cutoff(self):
         with pytest.raises(ConfigError):
@@ -211,7 +212,7 @@ class TestSolver:
         for variant, kw, _, _ in self.GOLDEN:
             sp = spec(variant, **kw)
             b = solve_boost_factor(model, sp)
-            assert abs(expected_truncated_value(model, sp, b) - 1.0) <= 1e-6
+            assert abs(expected_truncated_reference(model, sp, b) - 1.0) <= 1e-6
 
     def test_plus_monotone_in_s(self):
         model = GaussianLRModel(3.0)
@@ -247,7 +248,7 @@ class TestSolver:
         sp = spec(TruncationVariant.PRDS, s=100)
         b = solve_boost_factor(model, sp)
         assert b >= 1.0
-        assert expected_truncated_value(model, sp, b) == pytest.approx(1.0, abs=1e-6)
+        assert expected_truncated_reference(model, sp, b) == pytest.approx(1.0, abs=1e-6)
 
 
 CLOSED_FORM = (TruncationVariant.PLUS, TruncationVariant.MINUS,
@@ -274,7 +275,8 @@ def boost_spec(variant, s, lag, alpha, gamma):
 
 
 class TestSolverProperties:
-    """Each factor checked against the closed form of expected_truncated_value."""
+    """Each factor checked against the bracket sum of
+    oracles.expected_truncated_reference, independent of the solver's curve."""
 
     @given(boost_configs())
     @settings(max_examples=200, deadline=None)
@@ -289,17 +291,17 @@ class TestSolverProperties:
             try:
                 b = solve_boost_factor(model, sp)
             except SolverError:
-                assert expected_truncated_value(model, sp, B_MAX) < 1.0
+                assert expected_truncated_reference(model, sp, B_MAX) < 1.0
                 singles.append(None)
                 continue
             singles.append(b)
             assert b >= 1.0
             if b == 1.0:
                 # no boosting: E_null[T(E)] >= 1, or a root within 1e-11 of 1
-                assert expected_truncated_value(model, sp, 1.0) >= 1.0 - 1e-6
+                assert expected_truncated_reference(model, sp, 1.0) >= 1.0 - 1e-6
                 continue
-            assert abs(expected_truncated_value(model, sp, b) - 1.0) <= 1e-6
-            assert expected_truncated_value(model, sp, b * (1.0 - 1e-6)) < 1.0
+            assert abs(expected_truncated_reference(model, sp, b) - 1.0) <= 1e-6
+            assert expected_truncated_reference(model, sp, b * (1.0 - 1e-6)) < 1.0
         args = (model, variant, alpha, gammas, s, lag)
         if None in singles:
             with pytest.raises(SolverError):
@@ -320,7 +322,7 @@ class TestSolverProperties:
         # a narrow null leaves the minus cutoff out of reach for any b <= 10
         model = GaussianLRModel(0.5)
         sp = spec(TruncationVariant.MINUS, s=5)
-        assert expected_truncated_value(model, sp, 10.0) < 1.0
+        assert expected_truncated_reference(model, sp, 10.0) < 1.0
         with pytest.raises(SolverError):
             solve_boost_factor(model, sp, b_max=10.0)
 
@@ -364,6 +366,28 @@ class TestSolverProperties:
             solve_boost_factors(*args, [0.1, 0.1, 0.1], 5, lag_kstar=[0, 9, 4],
                                 b_max=10.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_weights(self, gamma):
+        with pytest.raises(ConfigError, match="finite"):
+            solve_boost_factors(GaussianLRModel(3.0), TruncationVariant.MINUS, ALPHA,
+                                [GAMMA, gamma], 100)
+
+    @given(boost_configs(), st.floats(1.0, B_MAX))
+    @settings(max_examples=200, deadline=None)
+    def test_library_formula_matches_reference(self, config, b):
+        # Abel sums on BoostCurve against the bracket sum: within 8.5e-8
+        # relative (1.8e-9 absolute at the solved factors), plus the
+        # reference's own rounding, whose 1 - ndtr loses a few eps of each
+        # tail and weights it by up to 1/(alpha gamma)
+        variant, s, k0, delta, alpha, gammas = config
+        local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
+        model = GaussianLRModel(delta)
+        for gamma in gammas:
+            sp = boost_spec(variant, s, k0 if local else None, alpha, gamma)
+            atol = max(2e-9, 4.0 * np.finfo(float).eps / (alpha * gamma))
+            assert expected_truncated_value(model, sp, b) == pytest.approx(
+                expected_truncated_reference(model, sp, b), rel=1e-7, abs=atol)
+
     def test_lags_match_the_targets(self):
         model = GaussianLRModel(3.0)
         with pytest.raises(ConfigError):
@@ -378,7 +402,7 @@ class TestSolverProperties:
         model = GaussianLRModel(3.0)
         sp = spec(TruncationVariant.LOCAL_MINUS, s=5, lag_kstar=9)
         b = solve_boost_factor(model, sp)
-        assert abs(expected_truncated_value(model, sp, b) - 1.0) <= 1e-6
+        assert abs(expected_truncated_reference(model, sp, b) - 1.0) <= 1e-6
 
 
 class TestTransforms:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import arcfdr
+from arcfdr import oracles
 from arcfdr.cli import CSV_COLUMNS, _parse_grid, build_parser, main
 
 
@@ -132,6 +133,23 @@ class TestBoostFactor:
         assert status == 1
         assert len(out.strip().splitlines()) == 1  # the header only
         assert "lag_kstar" in err
+
+    def test_nan_gamma_fails(self):
+        status, out, err = run_cli(["boost-factor", "--variant", "minus",
+                                    "--s", "10", "--gamma", "nan"])
+        assert status == 1
+        assert len(out.strip().splitlines()) == 1  # the header only
+        assert "gamma=nan" in err
+
+    def test_residual_against_reference_gates_status(self, monkeypatch):
+        monkeypatch.setattr(oracles, "expected_truncated_reference",
+                            lambda model, spec, b: 1.1)
+        status, out, err = run_cli(["boost-factor", "--preset", "example"])
+        assert status == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 9  # every row is still printed
+        assert all(float(line.split()[4]) == pytest.approx(0.1) for line in lines[1:])
+        assert err.count("residual against the reference exceeds") == 8
 
 
 class TestSimulateCsv:

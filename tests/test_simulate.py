@@ -238,6 +238,14 @@ class TestRunTrials:
         with pytest.raises(ConfigError):
             run_experiment(cfg, [])
 
+    def test_one_trial_fails_before_any_trial_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "run_trials", lambda *a, **k: calls.append(a))
+        cfg = GaussianSetupConfig(n=100, batch_size=20, m=1)
+        with pytest.raises(ConfigError, match="m=1"):
+            run_experiment(cfg, ["lond"])
+        assert calls == []
+
 
 class TestAdversarial:
     def test_hand_example(self):
