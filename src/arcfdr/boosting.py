@@ -120,8 +120,8 @@ class GaussianLRModel:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ConfigError(f"delta={self.delta} must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ConfigError(f"delta={self.delta} must be positive and finite")
 
     def evalue(self, z):
         return np.exp(self.delta * np.asarray(z, dtype=float) - self.delta ** 2 / 2.0)
@@ -424,7 +424,8 @@ def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: fl
     """E_null[T(b * E)] for the cutoff variants: G(log(alpha gamma b)) /
     (alpha gamma) on the BoostCurve of the spec, the curve the solver finds
     its roots on.  For PRDS this is the criterion sup_k P(bE >= 1/(k ag)) /
-    (k ag).  0 for b = 0 or a weight alpha*gamma of 0.
+    (k ag).  0 for b = 0 or a weight alpha*gamma of 0; at b = inf the
+    curve's limit T(inf), where the Plus pass-through term tends to 0.
     """
     if not b >= 0.0:
         raise InputError(f"b={b} is not a nonnegative number")
@@ -432,6 +433,8 @@ def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: fl
     if ag == 0.0 or b == 0.0:
         return 0.0
     variant, s, lag = _curve_args(spec)
+    if b == math.inf:
+        return truncate(spec, math.inf)
     g, _ = BoostCurve(model.delta, variant, s, lag)(np.array([math.log(ag) + math.log(b)]))
     return float(g[0]) / ag
 

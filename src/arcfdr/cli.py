@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from bisect import insort
 
 CSV_COLUMNS = ("procedure", "pi_a", "mu_a", "q", "alpha", "metric", "value",
                "stderr", "n", "m", "seed")
@@ -152,19 +153,22 @@ def cmd_stream(args) -> int:
         raise ValueError(f"gamma must be uniform:K or geometric:q, got {gspec!r}")
     cls = OnlineEBH if cfg["kind"] == "e" else OnlineBH
     proc = cls(weights, float(cfg["alpha"]))
+    rejected = []  # R_t in ascending order, kept here as every line prints it
     for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             value = float(line)
-            rset = proc.step(value)
+            proc.step(value)
         except (ValueError, InputError) as exc:
             print(f"line {lineno}: invalid score {line!r}: {exc}", file=sys.stderr)
             return 1
-        rejected = "{" + ",".join(str(i) for i in rset.indices) + "}"
+        for i in proc.newly_rejected:
+            insort(rejected, i)
+        shown = "{" + ",".join(str(i) for i in rejected) + "}"
         new = "{" + ",".join(str(i) for i in proc.newly_rejected) + "}"
-        print(f"t={proc.t} k*={proc.k_star} rejected={rejected} new={new}")
+        print(f"t={proc.t} k*={proc.k_star} rejected={shown} new={new}")
     return 0
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -200,36 +202,37 @@ class WeightSequence:
         return f"WeightSequence.{self.description}({args})"
 
 
-class _SortedIndices(tuple):
-    """A tuple of indices known to be in ascending order, so a RejectionSet
-    can range-check it at its two ends."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
 class RejectionSet:
-    """The set of rejected hypothesis indices at a given step."""
+    """The set of rejected hypothesis indices at a given step, from a tuple,
+    which is range-checked, or in O(1) from a procedure's first-rejection
+    times: R_t is the first |R_t| entries of that dict, all at times <= t.
+    The size is fixed when the set is built; ``indices`` sorts on first read.
+    """
 
-    indices: tuple
-    time: int
+    def __init__(self, indices, time: int):
+        self._times, self._size, self.time = indices, len(indices), time
+        if not isinstance(indices, dict):
+            if indices and (min(indices) < 1 or max(indices) > time):
+                raise InputError("rejection set contains an index beyond its time")
+            self._times, self.indices = dict.fromkeys(indices, time), indices
 
-    def __post_init__(self):
-        indices = self.indices
-        if not indices:
-            return
-        if type(indices) is _SortedIndices:
-            lo, hi = indices[0], indices[-1]
-        else:
-            lo, hi = min(indices), max(indices)
-        if lo < 1 or hi > self.time:
-            raise InputError("rejection set contains an index beyond its time")
+    @cached_property
+    def indices(self) -> tuple:
+        return tuple(sorted(islice(self._times, self._size)))
 
     def __contains__(self, i: int) -> bool:
-        return i in self.indices
+        return self._times.get(i, math.inf) <= self.time
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self._size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RejectionSet):
+            return NotImplemented
+        return self.time == other.time and self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash((self.indices, self.time))
 
 
 def harmonic_number(K: int) -> float:

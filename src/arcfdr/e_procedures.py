@@ -2,16 +2,17 @@
 and e-TOAD with decision deadlines.
 
 All procedures accept one score per step and maintain nested rejection sets.
-Rejections are recorded as first-rejection times so that full streams can be
-processed without materializing a set per step; ``step`` additionally returns
-the explicit current :class:`~arcfdr.core.RejectionSet`.  The step-up engine
+The first-rejection times are the one record of the rejections: a dict in
+rejection order, of which R_t is the first |R_t| entries.  ``step`` returns
+the current :class:`~arcfdr.core.RejectionSet` as an O(1) view of that
+dict, which sorts its indices only when they are read.  The step-up engine
 ``_KStarStepUp`` under every step-up procedure, e- and p-value, is here too.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 
 import numpy as np
@@ -27,7 +28,6 @@ from .core import (
     needs,
     score_value,
     score_values,
-    _SortedIndices,
 )
 from .metrics import rejection_counts
 
@@ -71,8 +71,6 @@ class StreamProcedure:
         self.alpha = alpha
         self.t = 0
         self.rejection_times: dict[int, int] = {}
-        self._rejected_sorted: list[int] = []
-        self._rejected_tuple: tuple | None = ()  # None: rebuild from the list
         self._last_new: tuple = ()
 
     def _need(self, value: float, t: int):
@@ -105,8 +103,6 @@ class StreamProcedure:
         """Book the indices that hypothesis t newly rejects."""
         for i in new:
             self.rejection_times[i] = t
-            insort(self._rejected_sorted, i)
-        self._rejected_tuple = None
 
     def _feed(self, score) -> list:
         """Advance one step and keep the books."""
@@ -154,9 +150,8 @@ class StreamProcedure:
         return new
 
     def rejection_set(self) -> RejectionSet:
-        if self._rejected_tuple is None:
-            self._rejected_tuple = _SortedIndices(self._rejected_sorted)
-        return RejectionSet(self._rejected_tuple, self.t)
+        """R_t in O(1): a view of the rejection times up to their size now."""
+        return RejectionSet(self.rejection_times, self.t)
 
     @property
     def newly_rejected(self) -> tuple:

@@ -274,9 +274,9 @@ class Lord(StreamProcedure):
         if self._geom_q is not None:
             first, rest = self._sum_first, self._sum_rest
         else:
-            tau = self._rejected_sorted  # LORD rejects on arrival only
-            first = self.weights.gamma(t - tau[0]) if tau else 0.0
-            rest = math.fsum(self.weights.gamma(t - tau_j) for tau_j in tau[1:])
+            tau = iter(self.rejection_times)  # LORD rejects on arrival only
+            first = self.weights.gamma(t - next(tau)) if self.rejection_times else 0.0
+            rest = math.fsum(self.weights.gamma(t - tau_j) for tau_j in tau)
         return self.weights.gamma(t) * self.w0 + (self.alpha - self.w0) * first + self.alpha * rest
 
     def _place(self, value, t):
@@ -284,10 +284,9 @@ class Lord(StreamProcedure):
             q = self._geom_q
             self._sum_first *= q
             self._sum_rest *= q
-            tau = self._rejected_sorted
-            if tau and tau[-1] == t - 1:
+            if t - 1 in self.rejection_times:
                 g1 = self.weights.gamma(1)
-                if len(tau) == 1:
+                if len(self.rejection_times) == 1:
                     self._sum_first += g1
                 else:
                     self._sum_rest += g1
@@ -340,8 +339,8 @@ class Saffron(StreamProcedure):
             total = self._cand_total
             base = self.weights.gamma(t - total)
             first = rest = 0.0
-            # SAFFRON rejects on arrival only: the rejection times are sorted
-            for j, tau in enumerate(self._rejected_sorted):
+            # SAFFRON rejects on arrival only: the keys are the tau_j, in order
+            for j, tau in enumerate(self.rejection_times):
                 g = self.weights.gamma(t - tau - (total - self._cand_at[j]))  # C_{j,t}
                 if j == 0:
                     first = g
@@ -373,8 +372,8 @@ class Saffron(StreamProcedure):
                 self._sum_rest *= q
             if rejected:
                 g1 = self.weights.gamma(1)
-                # t is recorded after this step, so the list holds tau_j < t
-                if not self._rejected_sorted:
+                # t is recorded after this step, so the times hold tau_j < t
+                if not self.rejection_times:
                     self._sum_first += g1
                 else:
                     self._sum_rest += g1

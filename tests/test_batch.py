@@ -174,8 +174,7 @@ def roster(w, alpha, deadlines):
 def state(proc) -> dict:
     """Everything a procedure keeps, heaps sorted, without its settings."""
     out = {k: v for k, v in vars(proc).items()
-           if k not in ("weights", "deadlines", "beta", "_beta_of", "_shape",
-                        "_rejected_tuple")}
+           if k not in ("weights", "deadlines", "beta", "_beta_of", "_shape")}
     for heap in ("_waiting", "_expiry"):
         if heap in out:
             out[heap] = sorted(out[heap])

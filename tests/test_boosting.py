@@ -182,6 +182,23 @@ class TestExpectedValue:
             expected_truncated_value(GaussianLRModel(3.0),
                                      spec(TruncationVariant.MINUS, s=5), math.nan)
 
+    @pytest.mark.parametrize("sp", [
+        spec(TruncationVariant.PLUS, s=10), spec(TruncationVariant.MINUS, s=10),
+        spec(TruncationVariant.LOCAL_PLUS, s=10, lag_kstar=3),
+        spec(TruncationVariant.LOCAL_MINUS, s=10, lag_kstar=3),
+        spec(TruncationVariant.TOAD, d=7), spec(TruncationVariant.PRDS, s=10)])
+    def test_infinite_b_is_the_limit(self, sp):
+        # the Plus pass-through term u * Phi(a) tends to 0, not inf * 0 = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = expected_truncated_value(GaussianLRModel(3.0), sp, math.inf)
+        assert value == pytest.approx(truncate(sp, math.inf), rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, 0.0])
+    def test_delta_positive_and_finite(self, delta):
+        with pytest.raises(ConfigError, match="delta"):
+            GaussianLRModel(delta)
+
     def test_full_needs_cutoff(self):
         with pytest.raises(ConfigError):
             expected_truncated_value(GaussianLRModel(3.0),

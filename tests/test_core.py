@@ -15,8 +15,8 @@ from arcfdr.core import (
     is_self_consistent,
     minimal_k_evalue,
     minimal_k_pvalue,
-    _SortedIndices,
 )
+from arcfdr.p_procedures import Lond, Lord, OnlineBH
 
 
 class TestScore:
@@ -184,11 +184,16 @@ class TestRejectionSet:
         with pytest.raises(InputError):
             RejectionSet((0,), 4)
 
-    def test_sorted_indices_checked_at_their_ends(self):
-        assert RejectionSet(_SortedIndices((1, 2, 4)), 4) == RejectionSet((1, 2, 4), 4)
-        for bad in ((0, 2), (2, 5)):
-            with pytest.raises(InputError):
-                RejectionSet(_SortedIndices(bad), 4)
+    @pytest.mark.parametrize("cls", [OnlineBH, Lond, Lord])
+    def test_procedure_set_equals_tuple_set(self, cls):
+        # OnlineBH rejects 2 after 3 at t = 3: its record is not sorted
+        p = [0.3, 0.04, 0.001, 0.5, 0.02, 0.0005, 0.8, 0.03, 0.0001, 0.6]
+        proc = cls(WeightSequence.uniform_finite(10), 0.2)
+        for x in p:
+            proc.step(x)
+            assert proc.rejection_set() == RejectionSet(
+                tuple(sorted(proc.rejection_times)), proc.t)
+        assert len(proc.rejection_set()) == (6 if cls is OnlineBH else 5)
 
     def test_empty_at_time_zero(self):
         r = RejectionSet((), 0)

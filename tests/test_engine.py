@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcfdr.core import WeightSequence, minimal_k_evalue
+from arcfdr.core import RejectionSet, WeightSequence, minimal_k_evalue
 from arcfdr.e_procedures import DeadlineSchedule, ELond, EToad, OnlineEBH
 from arcfdr.oracles import step_up_reference
 from arcfdr.p_procedures import (
@@ -113,13 +113,17 @@ def storey_qualifies(scores, w, alpha, lam):
 
 
 def assert_matches_reference(proc, scores, deadlines, qualifies):
-    sets = [proc.step(x).indices for x in scores]
+    # each returned set is a snapshot: it is read only after the whole stream
+    sets = [proc.step(x) for x in scores]
     ref_times, ref_path = step_up_reference(deadlines, qualifies)
     assert proc.rejection_times == ref_times
     assert proc.kstar_path == ref_path
     for t, got in enumerate(sets, start=1):
-        assert got == tuple(sorted(i for i, s in ref_times.items() if s <= t))
-        assert len(got) == proc.kstar_path[t - 1]  # k*_t = |R_t|
+        ref = tuple(sorted(i for i, s in ref_times.items() if s <= t))
+        assert len(got) == len(ref) == proc.kstar_path[t - 1]  # k*_t = |R_t|
+        assert got.indices == ref
+        assert [i for i in range(1, len(scores) + 1) if i in got] == list(ref)
+        assert got == RejectionSet(ref, t)
 
 
 @given(streams("e"))
