@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .core import ConfigError, InputError, ScoreKind, needs
 
@@ -128,7 +128,8 @@ class GaussianLRModel:
 
 
 B_MAX = 1e6             # default upper limit of a boosting factor
-_TABLE_STEP = 0.25      # spacing of a BoostTable's grid in v = log u
+_TABLE_STEP = 0.25      # spacing of a BoostTable's bracket rows in v = log u
+_FINE = 8               # start rows per bracket row step
 _POLISH_STEPS = 60      # bisection halves a 0.25-wide bracket to 1e-13 in 42
 _HERMITE_STEPS = 8      # safeguarded Newton steps on the cubic start of a cell
 _CHUNK_TERMS = 1 << 14  # (target, k) terms per array of an exact evaluation
@@ -138,41 +139,86 @@ _RESIDUAL_MAX = 1e-6    # |E_null[T(bE)] - 1| allowed at a returned factor
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class BoostTable:
-    """Null tail probabilities T_k(v) = P(bE >= 1/(k alpha gamma)) for k = 1..s
-    on a grid of v = log(alpha gamma b), with their Abel-weighted suffix sums
-    and the same suffix sums over the densities dT_k/dv.
+class _GridRows:
+    """Rows v = i * step, i = first, first + 1, ..., of the null tail
+    probabilities T_k(v) = P(bE >= 1/(k alpha gamma)), k = 1..s, for one
+    (s, delta): their Abel-weighted suffix sums, the same suffix sums over
+    the densities dT_k/dv, T_s and its density, and the Plus pass-through
+    term and its derivative.
+
+    A row depends only on its v, so rows can be added at either end, and
+    two sets of rows at one step agree wherever they overlap."""
+
+    def __init__(self, delta: float, s: int, step: float, lo: int, hi: int):
+        self.delta, self.s, self.step, self.first = delta, s, step, lo
+        self._set(self._rows(lo, hi))
+
+    def _rows(self, lo: int, hi: int) -> dict:
+        delta, s = self.delta, self.s
+        v = np.arange(lo, hi + 1) * self.step
+        logk = np.log(np.arange(1, s + 1, dtype=float))
+        z = (logk + v[:, None]) / delta - delta / 2.0
+        tails = ndtr(z)
+        w = _abel_weights(1, s, s)
+        dens = np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / delta)
+        u = np.exp(v)
+        a = -delta / 2.0 - (logk[-1] + v) / delta
+        pass_through = u * ndtr(a)
+        return {"v": v,
+                # suffix[:, m-1] = sum_{k >= m} w_k T_k: the minus-type sum of every k0
+                "suffix": _suffix_sums(tails * w),
+                "dsuffix": _suffix_sums(dens * w),
+                "tail_last": tails[:, -1],
+                "dens_last": dens[:, -1],
+                "pass_through": pass_through,
+                "dpass_through": (pass_through
+                                  - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / delta))}
+
+    def _set(self, rows: dict):
+        for name, value in rows.items():
+            setattr(self, name, value)
+
+    def extend(self, lo: int, hi: int):
+        """Add the rows from lo to hi that are missing, and any between
+        them and the kept ones."""
+        last = self.first + len(self.v) - 1
+        if lo >= self.first and hi <= last:
+            return
+        lo = min(lo, self.first)
+        parts = (self._rows(lo, self.first - 1), vars(self),
+                 self._rows(last + 1, max(hi, last)))
+        self.first = lo
+        self._set({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+
+
+class BoostTable(_GridRows):
+    """Rows of G's sums (see ``_GridRows``) on a grid of v = log(alpha gamma
+    b) at step 0.25, from which the solver brackets its roots, and the
+    start rows at step 0.25/8 that it adds as its brackets need them.
 
     T_k depends on b and on the weight only through v, so one table per
     (s, delta) brackets the root of every target alpha*gamma_t, for every
-    cutoff variant and every lag k0, and holds G and dG/dv at its rows.  Grid
-    rows sit at multiples of the grid step, so two tables agree wherever
-    their ranges overlap.
+    cutoff variant and every lag k0, and holds G and dG/dv at its rows.
+    Rows sit at multiples of their step, so two tables agree wherever their
+    ranges overlap, and a start row is computed once per table.
     """
 
     def __init__(self, delta: float, s: int, v_lo: float, v_hi: float):
-        self.delta, self.s = delta, s
-        rows = np.arange(math.floor(v_lo / _TABLE_STEP),
-                         math.ceil(v_hi / _TABLE_STEP) + 1)
-        self.v = rows * _TABLE_STEP
-        logk = np.log(np.arange(1, s + 1, dtype=float))
-        z = (logk + self.v[:, None]) / delta - delta / 2.0
-        self.tails = ndtr(z)
-        w = _abel_weights(1, s, s)
-        # suffix[:, m-1] = sum_{k >= m} w_k T_k: the minus-type sum of every k0
-        self.suffix = _suffix_sums(self.tails * w)
-        dens = np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / delta)
-        self.dens_last = dens[:, -1]
-        self.dsuffix = _suffix_sums(dens * w)
-        u = np.exp(self.v)
-        a = -delta / 2.0 - (logk[-1] + self.v) / delta
-        self.pass_through = u * ndtr(a)
-        self.dpass_through = (self.pass_through
-                              - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / delta))
+        super().__init__(delta, s, _TABLE_STEP, math.floor(v_lo / _TABLE_STEP),
+                         math.ceil(v_hi / _TABLE_STEP))
+        self.fine = None
 
     def covers(self, delta: float, s: int, v_lo: float, v_hi: float) -> bool:
         return (self.delta == delta and self.s == s
                 and self.v[0] <= v_lo and self.v[-1] >= v_hi)
+
+    def fine_rows(self, lo: int, hi: int) -> _GridRows:
+        """The start rows, holding at least rows lo..hi at step 0.25/8."""
+        if self.fine is None:
+            self.fine = _GridRows(self.delta, self.s, _TABLE_STEP / _FINE, lo, hi)
+        else:
+            self.fine.extend(lo, hi)
+        return self.fine
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -271,30 +317,42 @@ class BoostCurve:
             dg = dg + pass_through - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / d)
         return g, dg
 
-    def on_grid(self, table: BoostTable):
-        """G at the table's rows from its suffix sums, made nondecreasing, and
-        dG/dv there (0 for PRDS, whose G is a max): one column per distinct
-        lag, the one of target i being column[i].  Lag k0 reads suffix column
-        m = k0 + 1 and corrects the weight of T_s."""
-        if self.prds:
-            col = np.max(table.tails * self._terms_of(0)[1], axis=1)[:, None]
-            return np.maximum.accumulate(col), np.zeros_like(col)
+    def on_grid(self, rows: _GridRows):
+        """G and dG/dv at a table's rows from their suffix sums, for the
+        cutoff variants but PRDS: one column per distinct lag, the one of
+        target i being column[i].  Lag k0 reads suffix column m = k0 + 1 and
+        corrects the weight of T_s."""
         k0 = self.lags
         m = np.minimum(k0 + 1, self.s)
         corr = 1.0 / np.maximum(self.s, k0 + 1) - 1.0 / self.s
-        col = table.suffix[:, m - 1] + table.tails[:, -1:] * corr
-        dcol = table.dsuffix[:, m - 1] + table.dens_last[:, None] * corr
+        col = rows.suffix[:, m - 1] + rows.tail_last[:, None] * corr
+        dcol = rows.dsuffix[:, m - 1] + rows.dens_last[:, None] * corr
         if self.plus:
-            col = col + table.pass_through[:, None]
-            dcol = dcol + table.dpass_through[:, None]
-        return np.maximum.accumulate(col, axis=0), dcol
+            col = col + rows.pass_through[:, None]
+            dcol = dcol + rows.dpass_through[:, None]
+        return col, dcol
+
+    def prds_roots(self, y: np.ndarray) -> np.ndarray:
+        """The root of G(v) = y[i] for PRDS in closed form.  G = max_k
+        Phi(z_k(v))/k reaches y first where one k with k*y < 1 has
+        Phi(z_k(v)) = k*y, so the root is the least such v over k,
+        delta*(ndtri(k*y) + delta/2) - log k; inf where no k has k*y < 1."""
+        d, ks = self.delta, np.arange(1, self.s + 1, dtype=float)
+        out = np.empty(len(y))
+        step = max(1, _CHUNK_TERMS // self.s)
+        for c in range(0, len(y), step):
+            ky = y[c:c + step, None] * ks
+            # ndtri(1) = inf stands for every k with k*y >= 1
+            at = d * (ndtri(np.minimum(ky, 1.0)) + d / 2.0) - self.logk
+            out[c:c + step] = np.min(at, axis=1)
+        return out
 
 
 def _hermite_root(h, g0, g1, dg0, dg1, ly):
     """Where the cubic Hermite interpolant of log G on a cell of width h,
     from G and dG/dv at its two ends, reaches ly, as a fraction of the cell;
     the linear interpolant of log G where the cubic is undefined (G = 0 or
-    dG = 0 at an end, as for PRDS), and the midpoint where that is too.
+    dG = 0 at an end), and the midpoint where that is too.
 
     log G rises from below ly to at least ly over the cell, so a Newton
     iteration on the cubic, safeguarded by bisection in [0, 1], finds it."""
@@ -318,6 +376,20 @@ def _hermite_root(h, g0, g1, dg0, dg1, ly):
     return np.where(cubic, t, lin)
 
 
+def _fine_start(curve: BoostCurve, table: BoostTable, j, c, y, ly) -> np.ndarray:
+    """The start of each target y on curve column c whose bracket is table
+    rows j - 1 and j: the root of the cubic Hermite interpolant of log G on
+    the one of the bracket's eight start row cells where G reaches y.  The
+    start rows over the span of the brackets are added to the table."""
+    base = (table.first + j - 1) * _FINE  # start row at the bracket's lower end
+    fine = table.fine_rows(int(base.min()), int(base.max()) + _FINE)
+    col, dcol = curve.on_grid(fine)
+    inner = base[:, None] - fine.first + np.arange(1, _FINE)
+    f = base - fine.first + np.sum(col[inner, c[:, None]] < y[:, None], axis=1)
+    frac = _hermite_root(fine.step, col[f, c], col[f + 1, c], dcol[f, c], dcol[f + 1, c], ly)
+    return fine.v[f] + frac * fine.step
+
+
 def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
                         alpha: float, gammas, s: int, lag_kstar=None,
                         b_max: float = B_MAX, table: BoostTable | None = None) -> np.ndarray:
@@ -328,12 +400,13 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     Each factor is the root of G(v) = alpha*gamma_t on the t-free curve of
     BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable (built here
     unless one covering the targets is passed in) brackets every root within
-    one grid step and holds G and dG/dv at the bracket's ends.  The start is
-    the root of the cubic Hermite interpolant of log G there; a safeguarded
-    Newton iteration in log G on exact evaluations, or bisection for PRDS,
-    then polishes all pending targets at once.  b_t = 1 where
-    E_null[T_t(E)] >= 1 already.  A target's factor does not depend on which
-    other targets or lags share the call.  Raises ConfigError for a
+    one grid step, and its start rows put the start within about 1e-11 of
+    the root, so that one exact evaluation usually ends a safeguarded Newton
+    iteration in log G that polishes all pending targets at once.  PRDS has
+    its root in closed form, needs no table, and takes one exact
+    evaluation, for the residual check.  b_t = 1 where
+    E_null[T_t(E)] >= 1 already.  A target's factor does not depend on
+    which other targets or lags share the call.  Raises ConfigError for a
     non-finite weight, and SolverError for a zero weight, for no root in
     [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6.
     """
@@ -347,34 +420,45 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         raise ConfigError("weights must be finite")
     if np.any(y <= 0.0):
         raise SolverError("gamma = 0: truncation is identically 0, no root")
+    if not len(y):
+        return np.empty(0)
     ly = np.log(y)
     v_top = ly + math.log(b_max)
-    if table is None or not table.covers(model.delta, s, ly.min(), v_top.max()):
-        table = BoostTable(model.delta, s, ly.min(), v_top.max())
-
-    # bracket: the first grid row with G >= y, clipped to [log y, log(y b_max)]
-    col, dcol = curve.on_grid(table)
-    c = np.broadcast_to(curve.column, y.shape)
-    j = np.empty(len(y), dtype=np.int64)
-    for u in range(col.shape[1]):
-        at = c == u
-        j[at] = np.searchsorted(col[:, u], y[at])
-    if np.any(j == len(table.v)):
-        raise SolverError(f"no root in [1, {b_max}]")
-    hi = np.clip(table.v[j], ly, v_top)
-    clipped = np.flatnonzero(table.v[j] > v_top)
+    if curve.prds:
+        # the root itself: a bracket of width 0, which one evaluation ends
+        top = curve.prds_roots(y)
+        below = start = np.clip(top, ly, v_top)
+        first = top <= ly
+    else:
+        if table is None or not table.covers(model.delta, s, ly.min(), v_top.max()):
+            table = BoostTable(model.delta, s, ly.min(), v_top.max())
+        # bracket: the first table row with G >= y, G made nondecreasing
+        col, _ = curve.on_grid(table)
+        col = np.maximum.accumulate(col, axis=0)
+        c = np.broadcast_to(curve.column, y.shape)
+        j = np.empty(len(y), dtype=np.int64)
+        for u in range(col.shape[1]):
+            at = c == u
+            j[at] = np.searchsorted(col[:, u], y[at])
+        if np.any(j == len(table.v)):
+            raise SolverError(f"no root in [1, {b_max}]")
+        top, below = table.v[j], table.v[np.maximum(j - 1, 0)]
+        first = (j == 0) | (below < ly)
+        start = np.full(len(y), np.nan)
+        cell = np.flatnonzero(~first)
+        if len(cell):
+            start[cell] = _fine_start(curve, table, j[cell], c[cell], y[cell], ly[cell])
+    # clipped to [log y, log(y b_max)]
+    hi = np.clip(top, ly, v_top)
+    clipped = np.flatnonzero(top > v_top)
     if len(clipped):
         g_top, _ = curve(v_top[clipped], clipped)
         if np.any(g_top < y[clipped]):
             raise SolverError(f"no root in [1, {b_max}]")
-    jb = np.maximum(j - 1, 0)
-    below = table.v[jb]
-    first = (j == 0) | (below < ly)
-    lo = np.where(first, ly, below)
     # start at log y where the root may sit at b = 1, so that one evaluation
-    # also settles E_null[T(E)] >= 1; elsewhere on the cubic through the cell
-    frac = _hermite_root(_TABLE_STEP, col[jb, c], col[j, c], dcol[jb, c], dcol[j, c], ly)
-    v = np.where(first, ly, np.clip(below + frac * _TABLE_STEP, lo, hi))
+    # also settles E_null[T(E)] >= 1
+    lo = np.where(first, ly, below)
+    v = np.where(first, ly, np.clip(start, lo, hi))
 
     # each factor is returned at the last point its G was evaluated, so the
     # residual check below rests on that evaluation

@@ -237,7 +237,50 @@ class OnlineStoreyBH(_KStarStepUpP):
         return math.inf
 
     def _needs(self, values, t):
-        return None  # each key reads pi0_hat_t, which moves with every score
+        return None  # the keys come with the pi0_hat path, in _run
+
+    def _path(self, values, t0: int, gammas=None, tails=None):
+        """The keys of values[i] at index t0 + i and pi0_hat_{t0+i}, as
+        vectors equal to ``_need``'s bit for bit: the over-lambda mass adds
+        up in ``_need``'s order from its current value, and pi0_hat is the
+        running minimum from its current value.  gammas[i] and tails[i] are
+        gamma(t0 + i) and tail_mass(t0 + i), computed here unless the caller
+        has them.  Leaves the over-lambda mass at its value after the last
+        score."""
+        w, lam, n = self.weights, self.lam, len(values)
+        g = w.gammas(t0, n) if gammas is None else gammas
+        if tails is None:
+            tails = np.array([w.tail_mass(t) for t in range(t0, t0 + n)])
+        over = np.where(values > lam, g, 0.0)
+        mass = np.add.accumulate(np.concatenate(([self._over_lambda_mass], over)))[1:]
+        self._over_lambda_mass = float(mass[-1])
+        pi0 = (w.gamma_max + mass + tails) / (1.0 - lam)
+        pi0 = np.minimum.accumulate(np.concatenate(([self.pi0_hat], pi0)))[1:]
+        keys = np.full(n, math.inf)
+        ag = self.alpha * g
+        cand = (values <= lam) & (g > 0.0)
+        # alpha * gamma underflowed, as in minimal_k_pvalue
+        keys[cand & (ag == 0.0) & (values == 0.0)] = 0.0
+        at = cand & (ag > 0.0)
+        with np.errstate(over="ignore"):
+            keys[at] = values[at] / ag[at]
+        return keys, pi0
+
+    def _run(self, values, t0: int, need=None, gammas=None, tails=None) -> list:
+        """``run()`` hands over the validated p-values, and ``need`` is not
+        called: their keys and the pi0_hat path come from ``_path`` as
+        vectors, and pi0_hat is set from the path before each ``_place``, so
+        each step equals ``step()``'s.  ``gammas`` and ``tails`` go to
+        ``_path``."""
+        keys, pi0 = self._path(values, t0, gammas, tails)
+        new = []
+        for t, key, pi0_t in zip(range(t0, t0 + len(keys)), keys.tolist(), pi0.tolist()):
+            self.pi0_hat = pi0_t
+            new = self._place(key, t)
+            self.t = t
+            if new:
+                self._record(new, t)
+        return new
 
     def _bound(self, k):
         # pi0_hat is 0 only when every weight is 0, and then no key is counted

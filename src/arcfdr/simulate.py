@@ -183,9 +183,8 @@ class ProcedureRun:
 _NEED_RULES = {"oe-bh": (OnlineEBH, "e"), "e-lond": (ELond, "e"),
                "obh": (OnlineBH, "p"), "lond": (Lond, "p"),
                "obr": (OnlineBR, "by"), "r-lond": (RLond, "by")}
-# procedures whose keys move with the stream: one run() per trial
-_STREAM_RULES = {"osbh": lambda w, cfg: OnlineStoreyBH(w, cfg.alpha, cfg.lam),
-                 "lord": lambda w, cfg: Lord(w, cfg.alpha),
+# procedures whose levels move with the stream: one run() per trial
+_STREAM_RULES = {"lord": lambda w, cfg: Lord(w, cfg.alpha),
                  "saffron": lambda w, cfg: Saffron(w, cfg.alpha, cfg.lam)}
 
 
@@ -243,6 +242,12 @@ def _run_procedure(name: str, cell: _Cell) -> list:
         procs = [_feed(OnlineEBH(weights, alpha), row) for row in keys]
     elif name == "oe-bh-boost-local":
         procs = _run_local_boost(cell)
+    elif name == "osbh":
+        # the batch path of run(), with the weights' tail masses computed once
+        tails = np.array([weights.tail_mass(t) for t in range(1, n + 1)])
+        procs = [OnlineStoreyBH(weights, alpha, cfg.lam) for _ in cell.pvalues]
+        for proc, row in zip(procs, cell.pvalues):
+            proc._run(row, 1, gammas=cell.gammas, tails=tails)
     else:
         make = _STREAM_RULES[name]
         procs = [make(weights, cfg).run(row) for row in cell.pvalues]

@@ -4,6 +4,7 @@ random chunks mixed with step() against one step() per score, state and all.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,3 +342,62 @@ def test_needs_of_stacked_streams_equal_row_by_row(kind):
         got = by.needs(stacked, 0.05, gammas)
         for row, want in zip(got, rows):
             np.testing.assert_array_equal(row, by.needs(want, 0.05, gammas))
+
+
+class TestStoreyBatchPath:
+    """OnlineStoreyBH's run() computes its keys and its pi0_hat path as
+    vectors; each step must equal step()'s, bit for bit."""
+
+    WEIGHTS = {
+        "uniform": WeightSequence.uniform_finite(30),
+        "geometric": WeightSequence.geometric(0.9),
+        # zeros, weights whose alpha * gamma underflows (t = 2, 8) and a
+        # subnormal alpha * gamma, over which P overflows (t = 5)
+        "explicit": WeightSequence.explicit(
+            [0.0, 5e-324, 0.05, 0.0, 1e-310, 0.02, 0.1, 5e-324] + [0.01] * 32),
+    }
+
+    @staticmethod
+    def pvalues(n, seed):
+        rng = np.random.default_rng(seed)
+        p = np.where(rng.random(n) < 0.4, rng.random(n) * 1e-3, rng.random(n))
+        p[::9] = 0.0
+        p[1] = 0.0  # at an underflowing alpha * gamma: key 0
+        p[4::11] = 0.5  # at lambda
+        p[7] = 0.25
+        return p
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_run_equals_one_step_per_score_at_every_t(self, name):
+        w, p = self.WEIGHTS[name], self.pvalues(40, 1)
+        stepped = OnlineStoreyBH(w, 0.2, 0.5)
+        for t in range(1, len(p) + 1):
+            stepped.step(p[t - 1])
+            batch = OnlineStoreyBH(w, 0.2, 0.5).run(p[:t])
+            assert batch.pi0_hat == stepped.pi0_hat, (name, t)
+            assert batch.rejection_times == stepped.rejection_times, (name, t)
+            assert state(batch) == state(stepped), (name, t)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_resumed_run(self, name):
+        w, p = self.WEIGHTS[name], self.pvalues(40, 2)
+        stepped = OnlineStoreyBH(w, 0.2, 0.5)
+        for x in p.tolist():
+            stepped.step(x)
+        for cut in (0, 1, 7, 23, 40):
+            resumed = OnlineStoreyBH(w, 0.2, 0.5).run(p[:cut]).run(p[cut:])
+            assert state(resumed) == state(stepped), (name, cut)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_keys_and_path_equal_need(self, name):
+        # zero weights and an underflowing alpha * gamma give _need's keys,
+        # and no RuntimeWarning
+        w, p = self.WEIGHTS[name], self.pvalues(40, 3)
+        one = OnlineStoreyBH(w, 0.05, 0.5)
+        want = []
+        for t, x in enumerate(p.tolist(), 1):
+            want.append((one._need(x, t), one.pi0_hat))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            keys, pi0 = OnlineStoreyBH(w, 0.05, 0.5)._path(p, 1)
+        assert list(zip(keys.tolist(), pi0.tolist())) == want

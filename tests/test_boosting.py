@@ -9,6 +9,8 @@ from scipy.special import ndtr
 
 from arcfdr.boosting import (
     B_MAX,
+    BoostCurve,
+    BoostTable,
     GaussianLRModel,
     NonincreasingTransform,
     SolverError,
@@ -420,6 +422,106 @@ class TestSolverProperties:
         sp = spec(TruncationVariant.LOCAL_MINUS, s=5, lag_kstar=9)
         b = solve_boost_factor(model, sp)
         assert abs(expected_truncated_reference(model, sp, b) - 1.0) <= 1e-6
+
+
+GEOMETRIC = 0.01 * 0.99 ** np.arange(1000)  # gamma_t of geometric q = 0.99
+LAGS = (0, 3, 17, 60)
+
+
+def lagged(variant, n):
+    """Weights gamma_1..gamma_n and their lags: the four lags of LAGS for
+    local_minus, one call for all of them, and none otherwise."""
+    if variant is TruncationVariant.LOCAL_MINUS:
+        return np.tile(GEOMETRIC[:n], len(LAGS)), np.repeat(LAGS, n)
+    return GEOMETRIC[:n], None
+
+
+def bisect_roots(curve, y, b_max=B_MAX):
+    """The roots of G(v) = y on a BoostCurve by bisection to a bracket of
+    1e-14 in v, as factors: the upper end of each bracket, 1 where
+    G(log y) >= y already."""
+    ly = np.log(y)
+    lo, hi = ly.copy(), ly + math.log(b_max)
+    which = np.arange(len(y))
+    g_lo, _ = curve(lo, which)
+    hi[g_lo >= y] = ly[g_lo >= y]
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-14):
+            break
+        mid = 0.5 * (lo + hi)
+        g, _ = curve(mid, which)
+        up = g < y
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.exp(hi - ly)
+
+
+class TestOneEvaluation:
+    """The start rows put the cutoff variants' start within 1e-11 of the
+    root, and PRDS has its root in closed form, so the first exact
+    evaluation of a target is its last."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """A counter of the points at which BoostCurve is evaluated."""
+        count = [0]
+        call = BoostCurve.__call__
+
+        def counted(curve, v, which=None):
+            count[0] += len(v)
+            return call(curve, v, which)
+
+        monkeypatch.setattr(BoostCurve, "__call__", counted)
+        return count
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("delta", [2.0, 3.5, 4.5])
+    @pytest.mark.parametrize("variant", [TruncationVariant.MINUS,
+                                         TruncationVariant.LOCAL_MINUS,
+                                         TruncationVariant.PRDS])
+    def test_one_exact_evaluation_per_target(self, evaluations, variant, delta, n):
+        gammas, lags = lagged(variant, n)
+        solve_boost_factors(GaussianLRModel(delta), variant, ALPHA, gammas, n, lag_kstar=lags)
+        assert evaluations[0] <= 1.02 * len(gammas)
+
+    @pytest.mark.parametrize("delta", [2.0, 3.5, 4.5])
+    @pytest.mark.parametrize("variant", [TruncationVariant.PLUS, TruncationVariant.MINUS,
+                                         TruncationVariant.LOCAL_MINUS,
+                                         TruncationVariant.PRDS])
+    def test_factors_match_bisection_and_reference(self, variant, delta):
+        n = 200
+        model = GaussianLRModel(delta)
+        gammas, lags = lagged(variant, n)
+        b = solve_boost_factors(model, variant, ALPHA, gammas, n, lag_kstar=lags)
+        want = bisect_roots(BoostCurve(delta, variant, n, lags), ALPHA * gammas)
+        np.testing.assert_allclose(b, want, rtol=2e-11, atol=0)
+        for i in range(0, len(b), 7):
+            lag = None if lags is None else int(lags[i])
+            sp = TruncationSpec(variant, ALPHA, gammas[i], s=n, lag_kstar=lag)
+            assert abs(expected_truncated_reference(model, sp, b[i]) - 1.0) <= 1e-9
+
+    def test_start_rows_kept_on_the_table(self):
+        # later calls add the start rows they miss, below and above the kept
+        # ones, and a factor does not depend on the rows left by earlier calls
+        model, variant, n = GaussianLRModel(3.5), TruncationVariant.LOCAL_MINUS, 200
+        ly = np.log(ALPHA * GEOMETRIC[:n])
+        table = BoostTable(3.5, n, ly.min(), ly.max() + math.log(B_MAX))
+        calls = [(GEOMETRIC[:20], 3), (GEOMETRIC[100:120], 17), (GEOMETRIC[:20], 60)]
+        factors, spans = [], []
+        for gammas, k0 in calls:
+            factors.append(solve_boost_factors(model, variant, ALPHA, gammas, n,
+                                               lag_kstar=k0, table=table))
+            spans.append((table.fine.v[0], table.fine.v[-1]))
+        (lo0, hi0), (lo1, hi1), (lo2, hi2) = spans
+        assert lo1 < lo0 and hi1 == hi0 and lo2 == lo1 and hi2 > hi1
+        kept = table.fine.v
+        np.testing.assert_array_equal(kept, np.arange(lo2 * 32, hi2 * 32 + 1) / 32)
+        for b, (gammas, k0) in zip(factors, calls):
+            alone = solve_boost_factors(model, variant, ALPHA, gammas, n, lag_kstar=k0)
+            np.testing.assert_array_equal(b, alone)
+
+    def test_no_targets(self):
+        b = solve_boost_factors(GaussianLRModel(3.5), TruncationVariant.MINUS, 0.05, [], 10)
+        assert b.dtype == float and b.shape == (0,)
 
 
 class TestTransforms:
