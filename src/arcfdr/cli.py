@@ -81,16 +81,25 @@ def _parse_grid(spec: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"grid must be value or start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid {spec!r}: start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
+    if step < 1e-12:
+        raise ValueError(f"grid {spec!r}: step below 1e-12, finer than its 12-digit rounding")
+    # rounding moves a point by at most 5e-13 <= step / 2, so no point past
+    # index span + 1 is within the stop's 1e-9 slack
+    span = (stop + 1e-9 - start) / step
+    if span >= 1e6:
+        raise ValueError(f"grid {spec!r}: more than a million points")
     out = []
-    i = 0
-    while True:
+    for i in range(math.floor(span) + 2):
         v = round(start + i * step, 12)
         if v > stop + 1e-9:
             break
         out.append(v)
-        i += 1
+    if not out:
+        raise ValueError(f"grid {spec!r} has no points: stop is below start")
     return out
 
 

@@ -41,7 +41,10 @@ class Score:
 
 def validate_score_value(value: float, kind: ScoreKind) -> float:
     """Range-check a raw score; raises InputError instead of clamping."""
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"score {value!r} is not a number") from None
     if math.isnan(value):
         raise InputError(f"score is NaN ({kind.value}-value)")
     if kind is ScoreKind.P_VALUE:
@@ -62,7 +65,7 @@ def score_values(scores, kind: ScoreKind, t: int = 0) -> np.ndarray:
         values = np.asarray(items, dtype=float)
     except (TypeError, ValueError):  # Scores, or something float() rejects
         values = None
-    if values is None or values.ndim != 1:
+    if values is None:
         values = np.empty(len(items))
         for i, s in enumerate(items):
             try:
@@ -70,6 +73,8 @@ def score_values(scores, kind: ScoreKind, t: int = 0) -> np.ndarray:
             except InputError as exc:
                 raise InputError(f"scores[{i}] (t={t + i + 1}): {exc}") from None
         return values
+    if values.ndim != 1:
+        raise InputError(f"scores of shape {values.shape}: expected one dimension")
     if kind is ScoreKind.P_VALUE:
         bad = ~((values >= 0.0) & (values <= 1.0))
     else:

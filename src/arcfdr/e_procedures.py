@@ -79,9 +79,9 @@ class StreamProcedure:
         return value
 
     def _needs(self, values, t: int):
-        """``_need`` of values[i] at index t + i for every i at once, or None
-        where the keys are computed one step at a time."""
-        return None
+        """``_need`` of values[i] at index t + i for every i at once, as an
+        array: the scores themselves unless a subclass keys them otherwise."""
+        return values
 
     def _place(self, need, t: int) -> list:
         """Process the key of hypothesis t; return the indices it newly
@@ -121,29 +121,22 @@ class StreamProcedure:
     def run(self, scores) -> "StreamProcedure":
         """Feed a whole stream without materializing per-step sets.
 
-        The scores are validated first, all at once, so a bad one raises
-        before any state changes; the keys are then computed in one pass
-        where ``_needs`` can.  The result equals one ``step`` per score."""
+        The scores are validated and their keys computed first, all at once,
+        so a bad score raises before any state changes.  The result equals
+        one ``step`` per score."""
         t0 = self.t + 1
         values = score_values(scores, self.kind, self.t)
         if not len(values):
             return self
-        keys = self._needs(values, t0)
-        if keys is None:
-            new = self._run(values, t0, self._need)
-        else:
-            new = self._run(keys, t0)
-        self._last_new = tuple(sorted(new))
+        self._last_new = tuple(sorted(self._run(self._needs(values, t0), t0)))
         return self
 
-    def _run(self, keys, t0: int, need=None) -> list:
-        """One step per key (an array) from index t0 on: the keys are the
-        validated scores and ``need`` turns each into its key, or they are
-        the keys themselves.  Returns the last step's rejections."""
+    def _run(self, keys, t0: int) -> list:
+        """One step per key (an array) from t0 on; returns the last step's rejections."""
         t = t0 - 1
         for key in keys.tolist():
             t += 1
-            new = self._place(key if need is None else need(key, t), t)
+            new = self._place(key, t)
             self.t = t
             if new:
                 self._record(new, t)
@@ -205,9 +198,9 @@ class _KStarStepUp(StreamProcedure):
     of N only, and the descent after it stops at its need.
 
     A subclass supplies ``_need``, which is called once per step before
-    ``_place``, and ``_needs`` where the keys of a whole ``run()`` can be
-    computed at once.  A subclass whose keys are not integer needs (Storey's
-    ratios) also sets ``_bound``; its keys are not capped.
+    ``_place``, and ``_needs``, the keys of a whole ``run()`` at once.  A
+    subclass whose keys are not integer needs (Storey's ratios) also sets
+    ``_bound``; its keys are not capped.
     """
 
     # None: a key qualifies at set size k when it is at most k.  Otherwise a
@@ -309,7 +302,7 @@ class _KStarStepUp(StreamProcedure):
             del self._pending[:pos]
         return newly
 
-    def _run(self, keys, t0: int, need=None) -> list:
+    def _run(self, keys, t0: int) -> list:
         """``StreamProcedure._run`` where a deadline-free engine on integer
         needs only counts the arrivals out of reach.
 
@@ -322,8 +315,8 @@ class _KStarStepUp(StreamProcedure):
         brings no need into the pending list.  So just that is done, without
         the search, and the pushes wait for the end of the call, as nothing
         could pop them before.  An infinite need changes nothing."""
-        if need is not None or self._bound is not None or self.deadlines is not None:
-            return super()._run(keys, t0, need)
+        if self._bound is not None or self.deadlines is not None:
+            return super()._run(keys, t0)
         count = self._count
         horizon = count + len(keys)
         waiting, cap, far = self._waiting, self._cap, []
@@ -362,12 +355,10 @@ class _LondRule(StreamProcedure):
     def _place(self, need, t: int) -> list:
         return [t] if need <= len(self.rejection_times) + 1 else []
 
-    def _run(self, keys, t0: int, need=None) -> list:
+    def _run(self, keys, t0: int) -> list:
         """A need above |R| + len(keys), |R| before the call, is never within
         |R_{t-1}| + 1 during the call, so only the other arrivals are
         placed."""
-        if need is not None:
-            return super()._run(keys, t0, need)
         reach = np.flatnonzero(keys <= len(self.rejection_times) + len(keys))
         for i, key in zip(reach.tolist(), keys[reach].tolist()):
             if key <= len(self.rejection_times) + 1:

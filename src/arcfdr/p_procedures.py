@@ -105,18 +105,18 @@ class ShapeFunction:
     def needs(self, values, alpha: float, gammas):
         """``minimal_k`` of every p-value at its weight, bit for bit, as a
         float array of the p-values' shape (the weights broadcast as in
-        ``core.needs``); None for a custom shape, which is searched per
-        score."""
+        ``core.needs``).  A custom shape is searched score by score."""
         if self.variant == "identity":
             return needs(values, ScoreKind.P_VALUE, alpha, gammas)
-        if self.variant == "custom":
-            return None
         p = np.asarray(values, dtype=float)
         shape = p.shape
         g = np.asarray(gammas, dtype=float)
         if g.shape != shape:
             g = np.broadcast_to(g, shape)
         p, g = p.ravel(), g.ravel()
+        if self.variant == "custom":
+            k = [self.minimal_k(pi, alpha, gi) for pi, gi in zip(p.tolist(), g.tolist())]
+            return np.array(k, dtype=float).reshape(shape)
         K, ell = self._K, self._ell
         k = np.full(p.shape, math.inf)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -189,8 +189,8 @@ class Toad(_KStarStepUpP):
         return self._beta_of(t).minimal_k(value, self.alpha, self.weights.gamma(t))
 
     def _needs(self, values, t):
-        if self._shape is None:
-            return None
+        if self._shape is None:  # one shape per index: searched score by score
+            return np.array([self._need(v, t + i) for i, v in enumerate(values.tolist())], float)
         return self._shape.needs(values, self.alpha, self.weights.gammas(t, len(values)))
 
 
@@ -236,8 +236,8 @@ class OnlineStoreyBH(_KStarStepUpP):
             return value / ag
         return math.inf
 
-    def _needs(self, values, t):
-        return None  # the keys come with the pi0_hat path, in _run
+    # the p-values themselves: their keys come with the pi0_hat path, in _run
+    _needs = StreamProcedure._needs
 
     def _path(self, values, t0: int, gammas=None, tails=None):
         """The keys of values[i] at index t0 + i and pi0_hat_{t0+i}, as
@@ -266,12 +266,11 @@ class OnlineStoreyBH(_KStarStepUpP):
             keys[at] = values[at] / ag[at]
         return keys, pi0
 
-    def _run(self, values, t0: int, need=None, gammas=None, tails=None) -> list:
-        """``run()`` hands over the validated p-values, and ``need`` is not
-        called: their keys and the pi0_hat path come from ``_path`` as
-        vectors, and pi0_hat is set from the path before each ``_place``, so
-        each step equals ``step()``'s.  ``gammas`` and ``tails`` go to
-        ``_path``."""
+    def _run(self, values, t0: int, gammas=None, tails=None) -> list:
+        """``run()`` hands over the validated p-values: their keys and the
+        pi0_hat path come from ``_path`` as vectors, and pi0_hat is set from
+        the path before each ``_place``, so each step equals ``step()``'s.
+        ``gammas`` and ``tails`` go to ``_path``."""
         keys, pi0 = self._path(values, t0, gammas, tails)
         new = []
         for t, key, pi0_t in zip(range(t0, t0 + len(keys)), keys.tolist(), pi0.tolist()):

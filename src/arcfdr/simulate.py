@@ -183,7 +183,7 @@ class ProcedureRun:
 _NEED_RULES = {"oe-bh": (OnlineEBH, "e"), "e-lond": (ELond, "e"),
                "obh": (OnlineBH, "p"), "lond": (Lond, "p"),
                "obr": (OnlineBR, "by"), "r-lond": (RLond, "by")}
-# procedures whose levels move with the stream: one run() per trial
+# procedures whose levels move with the stream: fed their p-values
 _STREAM_RULES = {"lord": lambda w, cfg: Lord(w, cfg.alpha),
                  "saffron": lambda w, cfg: Saffron(w, cfg.alpha, cfg.lam)}
 
@@ -215,42 +215,36 @@ class _Cell:
         return self._needs[key]
 
 
-def _feed(proc, keys, t0: int = 1):
-    """Feed the needs of hypotheses t0, t0 + 1, ... to proc: the part of
-    ``run()`` after its keys are computed.  The scores come from the
-    generator, so there is nothing to validate."""
-    proc._run(keys, t0)
-    return proc
-
-
 def _run_procedure(name: str, cell: _Cell) -> list:
-    """One procedure's ProcedureRun on every trial of a cell."""
+    """One procedure's ProcedureRun on every trial of a cell.  Each trial's
+    keys go straight to ``_run``: the scores come from the generator, so
+    there is nothing to validate."""
     cfg, weights = cell.cfg, cell.weights
     alpha, n = cfg.alpha, cfg.n
-
+    rows, extra = cell.pvalues, {}
     if name in _NEED_RULES:
         rule, key = _NEED_RULES[name]
         args = (ShapeFunction.by(n),) if key == "by" else ()
-        procs = [_feed(rule(weights, alpha, *args), row) for row in cell.needs(key)]
+        procs, rows = [rule(weights, alpha, *args) for _ in rows], cell.needs(key)
     elif name in _GLOBAL_BOOSTS:
         # feeding b_t * E_t to online e-BH is exact at s = n.  plus: the pass-
         # through region sits below every rejection threshold.  minus: truncation
         # only zeroes values whose need exceeds n >= k*_t and moves the rest down
         # to a grid value of the same need, so it changes no decision
         b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], cell.gammas, cell.cache)
-        keys = needs(b * cell.evalues, ScoreKind.E_VALUE, alpha, cell.gammas)
-        procs = [_feed(OnlineEBH(weights, alpha), row) for row in keys]
+        procs = [OnlineEBH(weights, alpha) for _ in rows]
+        rows = needs(b * cell.evalues, ScoreKind.E_VALUE, alpha, cell.gammas)
     elif name == "oe-bh-boost-local":
-        procs = _run_local_boost(cell)
+        procs, rows = _run_local_boost(cell), ()  # fed batch by batch there
     elif name == "osbh":
         # the batch path of run(), with the weights' tail masses computed once
-        tails = np.array([weights.tail_mass(t) for t in range(1, n + 1)])
-        procs = [OnlineStoreyBH(weights, alpha, cfg.lam) for _ in cell.pvalues]
-        for proc, row in zip(procs, cell.pvalues):
-            proc._run(row, 1, gammas=cell.gammas, tails=tails)
+        procs = [OnlineStoreyBH(weights, alpha, cfg.lam) for _ in rows]
+        extra = {"gammas": cell.gammas,
+                 "tails": np.array([weights.tail_mass(t) for t in range(1, n + 1)])}
     else:
-        make = _STREAM_RULES[name]
-        procs = [make(weights, cfg).run(row) for row in cell.pvalues]
+        procs = [_STREAM_RULES[name](weights, cfg) for _ in rows]
+    for proc, row in zip(procs, rows):
+        proc._run(row, 1, **extra)
     return [ProcedureRun(name, n, proc.rejection_times) for proc in procs]
 
 
@@ -274,7 +268,7 @@ def _run_local_boost(cell: _Cell) -> list:
         keys = needs(b * cell.evalues[:, start:start + bsz], ScoreKind.E_VALUE,
                      cfg.alpha, gammas[start:start + bsz])
         for proc, row in zip(procs, keys):
-            _feed(proc, row, start + 1)
+            proc._run(row, start + 1)
     return procs
 
 

@@ -117,8 +117,23 @@ def test_shape_needs_equal_minimal_k(shape):
             assert got.tolist() == [shape.minimal_k(p, alpha, gamma) for p in ps]
 
 
-def test_custom_shape_has_no_batch_need():
-    assert ShapeFunction.custom({1.0: 0.5}).needs([0.1], 0.05, 0.1) is None
+@pytest.mark.parametrize("shape", [ShapeFunction.custom({1.0: 0.5}),
+                                   ShapeFunction.custom({1.0: 0.3, 3.0: 0.5, 7.0: 0.2}),
+                                   ShapeFunction.custom({2.5: 0.25, 1e6: 0.75})])
+def test_custom_shape_needs_equal_minimal_k(shape):
+    for alpha in ALPHAS:
+        for gamma in GAMMAS:
+            ps = boundary_scores(P, alpha, gamma)
+            ps += [min(1.0, alpha * gamma * shape.beta(k)) for k in (1, 2, 3, 5, 7, 1e6)]
+            got = shape.needs(ps, alpha, gamma)
+            assert got.dtype == float and got.shape == (len(ps),)
+            want = [shape.minimal_k(p, alpha, gamma) for p in ps]
+            assert [x.hex() for x in got.tolist()] == [float(k).hex() for k in want]
+    # one weight per score, and a 2-D block of scores keeps its shape
+    ps = np.array([[0.001, 0.01], [0.02, 0.5]])
+    gammas = np.array([0.1, 0.3])
+    want = [[shape.minimal_k(p, 0.05, g) for p, g in zip(row, gammas)] for row in ps]
+    assert shape.needs(ps, 0.05, gammas).tolist() == want
 
 
 class TestTruncateOnNeeds:
@@ -315,6 +330,32 @@ class TestBatchValidation:
         with pytest.raises(InputError, match=r"scores\[1\] \(t=2\): p-value fed"):
             proc.run(scores)
         assert proc.t == 0 and proc.kstar_path == []
+
+    @pytest.mark.parametrize("scores, message", [
+        (["0.5", "x"], r"^scores\[1\] \(t=2\): score 'x' is not a number$"),
+        ([0.5, object()], r"^scores\[1\] \(t=2\): score <object .*> is not a number$"),
+        (np.ones((2, 2)), r"^scores of shape \(2, 2\): expected one dimension$"),
+        ([[0.5], [0.2]], r"^scores of shape \(2, 1\): expected one dimension$"),
+    ])
+    def test_scores_that_are_not_numbers(self, scores, message):
+        proc = OnlineBH(WeightSequence.uniform_finite(5), 0.1)
+        with pytest.raises(InputError, match=message):
+            proc.run(scores)
+        assert proc.t == 0 and proc.kstar_path == []
+
+    def test_a_shape_that_raises_changes_nothing(self):
+        # the keys of a whole call are computed before the first is placed
+        w = WeightSequence.uniform_finite(10)
+
+        def shape_of(t):
+            if t == 3:
+                raise RuntimeError("no shape for t=3")
+            return ShapeFunction.identity()
+
+        proc = Toad(w, 0.5, DeadlineSchedule.unbounded(), shape_of)
+        with pytest.raises(RuntimeError, match="t=3"):
+            proc.run([0.0, 0.0, 0.0, 0.0])
+        assert proc.t == 0 and proc.rejection_times == {}
 
     def test_empty_call_keeps_the_last_rejections(self):
         w = WeightSequence.uniform_finite(2)

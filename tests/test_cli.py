@@ -40,6 +40,24 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="^grid step must be positive$"):
             _parse_grid("0.1:0.9:0")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("0.1:0.3:nan", "start, stop and step must be finite"),
+        ("nan:0.3:0.1", "start, stop and step must be finite"),
+        ("0.1:inf:0.1", "start, stop and step must be finite"),
+        ("0.1:0.3:1e-13", "step below 1e-12"),
+        ("0.1:1e300:0.1", "more than a million points"),
+        ("0.3:0.1:0.1", "has no points"),
+    ])
+    def test_unbounded_or_empty_grid_exits_2(self, spec, message):
+        status, out, err = run_cli(["simulate", "--pi-a", spec, "--n", "20", "--m", "2"])
+        assert status == 2 and out == ""
+        assert err.startswith(f"error: grid {spec!r}") and message in err
+
+    def test_smallest_step_reaches_the_stop_slack(self):
+        # the stop admits 1e-9 of slack: 1000 steps of 1e-12 past it
+        got = _parse_grid("0.1:0.1000000001:1e-12")
+        assert len(got) == 1101 and got[0] == 0.1 and got[-1] == 0.1000000011
+
     def test_bad_grid_exits_2(self):
         status, out, err = run_cli(["simulate", "--pi-a", "0.1:0.9"])
         assert status == 2 and out == ""
