@@ -128,9 +128,9 @@ class GaussianLRModel:
 
 
 B_MAX = 1e6             # default upper limit of a boosting factor
-_TABLE_STEP = 0.25      # spacing of a BoostTable's bracket rows in v = log u
-_FINE = 8               # start rows per bracket row step
-_POLISH_STEPS = 60      # bisection halves a 0.25-wide bracket to 1e-13 in 42
+_ROW_STEP = 1.0 / 32    # spacing of a BoostTable's rows in v = log u
+_ROWS_ABOVE = 32        # rows a solve first wants above its largest log y
+_POLISH_STEPS = 60      # bisection halves a 1/32-wide bracket to 1e-13 in 39
 _HERMITE_STEPS = 8      # safeguarded Newton steps on the cubic start of a cell
 _CHUNK_TERMS = 1 << 14  # (target, k) terms per array of an exact evaluation
 _NEWTON_DONE = 1e-11    # |Newton step| in v: the point is that close to the root
@@ -139,23 +139,28 @@ _RESIDUAL_MAX = 1e-6    # |E_null[T(bE)] - 1| allowed at a returned factor
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class _GridRows:
-    """Rows v = i * step, i = first, first + 1, ..., of the null tail
-    probabilities T_k(v) = P(bE >= 1/(k alpha gamma)), k = 1..s, for one
-    (s, delta): their Abel-weighted suffix sums, the same suffix sums over
-    the densities dT_k/dv, T_s and its density, and the Plus pass-through
-    term and its derivative.
+class BoostTable:
+    """Rows v = i/32, i = first, first + 1, ..., of v = log(alpha gamma b),
+    of the null tail probabilities T_k(v) = P(bE >= 1/(k alpha gamma)),
+    k = 1..s, for one (delta, s): their Abel-weighted suffix sums, the same
+    suffix sums over the densities dT_k/dv, T_s and its density, and the
+    Plus pass-through term and its derivative.
 
-    A row depends only on its v, so rows can be added at either end, and
-    two sets of rows at one step agree wherever they overlap."""
+    T_k depends on b and on the weight only through v, so one table per
+    (delta, s) brackets the root of every target alpha*gamma_t, for every
+    cutoff variant and every lag k0, and holds G and dG/dv at its rows.  It
+    starts empty, and solve_boost_factors adds the rows its brackets need.
+    A row depends only on its v, so rows can be added at either end and
+    each is computed once per table.
+    """
 
-    def __init__(self, delta: float, s: int, step: float, lo: int, hi: int):
-        self.delta, self.s, self.step, self.first = delta, s, step, lo
-        self._set(self._rows(lo, hi))
+    def __init__(self, delta: float, s: int):
+        self.delta, self.s, self.first = delta, s, 0
+        self._set(self._rows(0, -1))
 
     def _rows(self, lo: int, hi: int) -> dict:
         delta, s = self.delta, self.s
-        v = np.arange(lo, hi + 1) * self.step
+        v = np.arange(lo, hi + 1) * _ROW_STEP
         logk = np.log(np.arange(1, s + 1, dtype=float))
         z = (logk + v[:, None]) / delta - delta / 2.0
         tails = ndtr(z)
@@ -178,47 +183,22 @@ class _GridRows:
         for name, value in rows.items():
             setattr(self, name, value)
 
+    @property
+    def last(self) -> int:
+        return self.first + len(self.v) - 1
+
     def extend(self, lo: int, hi: int):
         """Add the rows from lo to hi that are missing, and any between
         them and the kept ones."""
-        last = self.first + len(self.v) - 1
-        if lo >= self.first and hi <= last:
+        if not len(self.v):
+            self.first = lo
+        elif lo >= self.first and hi <= self.last:
             return
-        lo = min(lo, self.first)
+        lo, last = min(lo, self.first), self.last
         parts = (self._rows(lo, self.first - 1), vars(self),
                  self._rows(last + 1, max(hi, last)))
         self.first = lo
         self._set({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
-
-
-class BoostTable(_GridRows):
-    """Rows of G's sums (see ``_GridRows``) on a grid of v = log(alpha gamma
-    b) at step 0.25, from which the solver brackets its roots, and the
-    start rows at step 0.25/8 that it adds as its brackets need them.
-
-    T_k depends on b and on the weight only through v, so one table per
-    (s, delta) brackets the root of every target alpha*gamma_t, for every
-    cutoff variant and every lag k0, and holds G and dG/dv at its rows.
-    Rows sit at multiples of their step, so two tables agree wherever their
-    ranges overlap, and a start row is computed once per table.
-    """
-
-    def __init__(self, delta: float, s: int, v_lo: float, v_hi: float):
-        super().__init__(delta, s, _TABLE_STEP, math.floor(v_lo / _TABLE_STEP),
-                         math.ceil(v_hi / _TABLE_STEP))
-        self.fine = None
-
-    def covers(self, delta: float, s: int, v_lo: float, v_hi: float) -> bool:
-        return (self.delta == delta and self.s == s
-                and self.v[0] <= v_lo and self.v[-1] >= v_hi)
-
-    def fine_rows(self, lo: int, hi: int) -> _GridRows:
-        """The start rows, holding at least rows lo..hi at step 0.25/8."""
-        if self.fine is None:
-            self.fine = _GridRows(self.delta, self.s, _TABLE_STEP / _FINE, lo, hi)
-        else:
-            self.fine.extend(lo, hi)
-        return self.fine
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -317,7 +297,7 @@ class BoostCurve:
             dg = dg + pass_through - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / d)
         return g, dg
 
-    def on_grid(self, rows: _GridRows):
+    def on_grid(self, rows: BoostTable):
         """G and dG/dv at a table's rows from their suffix sums, for the
         cutoff variants but PRDS: one column per distinct lag, the one of
         target i being column[i].  Lag k0 reads suffix column m = k0 + 1 and
@@ -376,18 +356,17 @@ def _hermite_root(h, g0, g1, dg0, dg1, ly):
     return np.where(cubic, t, lin)
 
 
-def _fine_start(curve: BoostCurve, table: BoostTable, j, c, y, ly) -> np.ndarray:
-    """The start of each target y on curve column c whose bracket is table
-    rows j - 1 and j: the root of the cubic Hermite interpolant of log G on
-    the one of the bracket's eight start row cells where G reaches y.  The
-    start rows over the span of the brackets are added to the table."""
-    base = (table.first + j - 1) * _FINE  # start row at the bracket's lower end
-    fine = table.fine_rows(int(base.min()), int(base.max()) + _FINE)
-    col, dcol = curve.on_grid(fine)
-    inner = base[:, None] - fine.first + np.arange(1, _FINE)
-    f = base - fine.first + np.sum(col[inner, c[:, None]] < y[:, None], axis=1)
-    frac = _hermite_root(fine.step, col[f, c], col[f + 1, c], dcol[f, c], dcol[f + 1, c], ly)
-    return fine.v[f] + frac * fine.step
+def _brackets(curve: BoostCurve, table: BoostTable, c, y):
+    """The bracket of each target y on curve column c: the first table row
+    with G >= y, G made nondecreasing (len(table.v) where no row has), and
+    G and dG/dv at the table's rows."""
+    col, dcol = curve.on_grid(table)
+    rising = np.maximum.accumulate(col, axis=0)
+    j = np.empty(len(y), dtype=np.int64)
+    for u in range(col.shape[1]):
+        at = c == u
+        j[at] = np.searchsorted(rising[:, u], y[at])
+    return j, col, dcol
 
 
 def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
@@ -398,15 +377,17 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     variants take one lag k0 for all targets, or one per target.
 
     Each factor is the root of G(v) = alpha*gamma_t on the t-free curve of
-    BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable (built here
-    unless one covering the targets is passed in) brackets every root within
-    one grid step, and its start rows put the start within about 1e-11 of
-    the root, so that one exact evaluation usually ends a safeguarded Newton
-    iteration in log G that polishes all pending targets at once.  PRDS has
-    its root in closed form, needs no table, and takes one exact
-    evaluation, for the residual check.  b_t = 1 where
+    BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable of the
+    model's (delta, s), the one passed in or a new one, brackets every root
+    in one cell of its rows, and adds them only as far as the brackets
+    need.  The cubic Hermite root of log G on that cell puts the start
+    within about 1e-11 of the root, so that one exact evaluation usually
+    ends a safeguarded Newton iteration in log G that polishes all pending
+    targets at once.  PRDS has its root in closed form, needs no table, and
+    takes one exact evaluation, for the residual check.  b_t = 1 where
     E_null[T_t(E)] >= 1 already.  A target's factor does not depend on
-    which other targets or lags share the call.  Raises ConfigError for a
+    which other targets or lags share the call, nor on the rows left on
+    the table by earlier calls.  Raises ConfigError for a
     non-finite weight, and SolverError for a zero weight, for no root in
     [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6.
     """
@@ -430,24 +411,35 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         below = start = np.clip(top, ly, v_top)
         first = top <= ly
     else:
-        if table is None or not table.covers(model.delta, s, ly.min(), v_top.max()):
-            table = BoostTable(model.delta, s, ly.min(), v_top.max())
-        # bracket: the first table row with G >= y, G made nondecreasing
-        col, _ = curve.on_grid(table)
-        col = np.maximum.accumulate(col, axis=0)
+        if table is None or (table.delta, table.s) != (model.delta, s):
+            table = BoostTable(model.delta, s)
         c = np.broadcast_to(curve.column, y.shape)
-        j = np.empty(len(y), dtype=np.int64)
-        for u in range(col.shape[1]):
-            at = c == u
-            j[at] = np.searchsorted(col[:, u], y[at])
+        # rows from just below the least log y up, doubling the span above
+        # the largest log y until every target has its bracket, or until
+        # the rows reach the largest log(y b_max)
+        bottom = math.ceil(ly.min() / _ROW_STEP) - 1
+        highest = math.floor(ly.max() / _ROW_STEP)
+        cap = math.ceil(v_top.max() / _ROW_STEP)
+        above = _ROWS_ABOVE
+        while True:
+            table.extend(bottom, min(highest + above, cap))
+            j, col, dcol = _brackets(curve, table, c, y)
+            if np.all(j < len(table.v)) or table.last >= cap:
+                break
+            above *= 2
         if np.any(j == len(table.v)):
             raise SolverError(f"no root in [1, {b_max}]")
         top, below = table.v[j], table.v[np.maximum(j - 1, 0)]
         first = (j == 0) | (below < ly)
+        # the start: the root of the cubic Hermite interpolant of log G on
+        # the bracket's cell, rows j - 1 and j
         start = np.full(len(y), np.nan)
         cell = np.flatnonzero(~first)
         if len(cell):
-            start[cell] = _fine_start(curve, table, j[cell], c[cell], y[cell], ly[cell])
+            jc, cc = j[cell], c[cell]
+            frac = _hermite_root(_ROW_STEP, col[jc - 1, cc], col[jc, cc],
+                                 dcol[jc - 1, cc], dcol[jc, cc], ly[cell])
+            start[cell] = table.v[jc - 1] + frac * _ROW_STEP
     # clipped to [log y, log(y b_max)]
     hi = np.clip(top, ly, v_top)
     clipped = np.flatnonzero(top > v_top)

@@ -262,7 +262,7 @@ def minimal_k_evalue(e: float, alpha: float, gamma: float) -> float:
     if denom <= 0.0:  # product underflow for subnormal e
         return math.inf
     kf = 1.0 / denom
-    if kf > NEED_CAP:
+    if not kf <= NEED_CAP:  # NaN too
         return math.inf
     k = max(1, math.ceil(kf))
     while k > 1 and e >= 1.0 / ((k - 1) * ag):
@@ -282,7 +282,7 @@ def minimal_k_pvalue(p: float, alpha: float, gamma: float) -> float:
         # alpha * gamma underflowed: every threshold k * ag is 0
         return 1 if p == 0.0 else math.inf
     kf = p / ag
-    if kf > NEED_CAP:
+    if not kf <= NEED_CAP:  # NaN too
         return math.inf
     k = max(1, math.ceil(kf))
     while k > 1 and p <= (k - 1) * ag:

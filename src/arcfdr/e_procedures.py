@@ -53,8 +53,8 @@ class DeadlineSchedule:
 
     def deadline(self, t: int) -> float:
         d = self._fn(t)
-        if d < t:
-            raise ConfigError(f"deadline d_{t}={d} is before arrival time {t}")
+        if not d >= t:  # NaN too: at the top of the expiry heap it blocks every later expiry
+            raise ConfigError(f"deadline d_{t}={d} is not at or after arrival time {t}")
         return d
 
 
@@ -314,7 +314,13 @@ class _KStarStepUp(StreamProcedure):
         (k*, N] qualifies before it (the mark's invariant), and the new N
         brings no need into the pending list.  So just that is done, without
         the search, and the pushes wait for the end of the call, as nothing
-        could pop them before.  An infinite need changes nothing."""
+        could pop them before.  An infinite need changes nothing.
+
+        With deadlines, every deadline of the call is read once before the
+        first ``_place``, so that a bad one raises before any state changes."""
+        if self.deadlines is not None:
+            for t in range(t0, t0 + len(keys)):
+                self.deadlines.deadline(t)
         if self._bound is not None or self.deadlines is not None:
             return super()._run(keys, t0)
         count = self._count

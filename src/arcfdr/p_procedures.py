@@ -88,7 +88,7 @@ class ShapeFunction:
         if self.variant == "identity":
             return minimal_k_pvalue(p, alpha, gamma)
         ag = alpha * gamma
-        if p > ag * self.beta_sup:
+        if not p <= ag * self.beta_sup:  # NaN too
             return math.inf
         lo, hi = 1, 1
         while p > ag * self.beta(hi):

@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .boosting import (
-    B_MAX,
-    BoostTable,
-    GaussianLRModel,
-    TruncationVariant,
-    solve_boost_factors,
-)
+from .boosting import BoostTable, GaussianLRModel, TruncationVariant, solve_boost_factors
 from .core import ConfigError, ScoreKind, WeightSequence, needs
 from .e_procedures import ELond, OnlineEBH
 from .metrics import GroundTruth, cell_estimates, rejection_counts
@@ -113,7 +107,7 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
 
 def _boost_factors(cfg, variant, gammas, cache):
     """b_t for t = 1..n at the global cutoff s = n, from the configuration's
-    weights gammas: one solve on the setup's bracket table, memoized as one
+    weights gammas: one solve on the setup's boosting table, memoized as one
     read-only cache entry."""
     key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, 1, cfg.n, None)
     if key not in cache:
@@ -144,16 +138,11 @@ def _local_boost_factors(cfg, start, lags, gammas, cache):
 
 
 def _boost_table(cfg, cache):
-    """The bracket table shared by every boosted run of cfg's weights: it
-    spans v = log(alpha gamma_t b) for every t <= n and b in [1, B_MAX], with
-    a margin at each end against rounding in the logs."""
-    key = ("boost-table", cfg.mu_a, cfg.alpha, cfg.q, cfg.n)
+    """The boosting table shared by every boosted run of the cutoff s = n at
+    delta = mu_a; the solver adds the rows each call needs."""
+    key = ("boost-table", cfg.mu_a, cfg.n)
     if key not in cache:
-        gamma_max = 1.0 - cfg.q
-        gamma_min = cfg.q ** (cfg.n - 1) * gamma_max
-        v_lo = math.log(cfg.alpha * gamma_min) - 1.0
-        v_hi = math.log(cfg.alpha * gamma_max * B_MAX) + 1.0
-        cache[key] = BoostTable(cfg.mu_a, cfg.n, v_lo, v_hi)
+        cache[key] = BoostTable(cfg.mu_a, cfg.n)
     return cache[key]
 
 

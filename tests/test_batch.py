@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from arcfdr.boosting import TruncationSpec, TruncationVariant, truncate
 from arcfdr.core import (
+    ConfigError,
     InputError,
     Score,
     ScoreKind,
@@ -90,6 +91,12 @@ def test_needs_of_invalid_scores_end():
     assert needs(bad, E, 0.05, 0.1).tolist() == [math.inf] * 4
     assert needs([math.nan, -math.inf], P, 0.05, 0.1).tolist() == [math.inf] * 2
     assert ShapeFunction.by(4).needs([math.nan], 0.05, 0.1).tolist() == [math.inf]
+    # and the scalar routines give NaN the same no-need as the vector ones
+    assert minimal_k_evalue(math.nan, 0.05, 0.1) == math.inf
+    assert minimal_k_pvalue(math.nan, 0.05, 0.1) == math.inf
+    for shape in (ShapeFunction.by(4), ShapeFunction.custom({1: 0.5, 3: 0.5})):
+        assert shape.minimal_k(math.nan, 0.05, 0.1) == math.inf
+        assert shape.needs([math.nan], 0.05, 0.1).tolist() == [math.inf]
 
 
 @given(st.sampled_from([
@@ -355,6 +362,17 @@ class TestBatchValidation:
         proc = Toad(w, 0.5, DeadlineSchedule.unbounded(), shape_of)
         with pytest.raises(RuntimeError, match="t=3"):
             proc.run([0.0, 0.0, 0.0, 0.0])
+        assert proc.t == 0 and proc.rejection_times == {}
+
+    @pytest.mark.parametrize("make, score", [
+        (lambda w, dl: EToad(w, 0.5, dl), 1e9),
+        (lambda w, dl: Toad(w, 0.5, dl, ShapeFunction.identity()), 1e-9),
+    ])
+    def test_a_bad_deadline_changes_nothing(self, make, score):
+        # the deadlines of a whole call are read before the first key is placed
+        proc = make(WeightSequence.uniform_finite(4), DeadlineSchedule.explicit([1, 2, 1, 4]))
+        with pytest.raises(ConfigError, match=r"d_3=1 is not at or after arrival time 3"):
+            proc.run([score] * 4)
         assert proc.t == 0 and proc.rejection_times == {}
 
     def test_empty_call_keeps_the_last_rejections(self):

@@ -503,17 +503,16 @@ class TestOneEvaluation:
         # later calls add the start rows they miss, below and above the kept
         # ones, and a factor does not depend on the rows left by earlier calls
         model, variant, n = GaussianLRModel(3.5), TruncationVariant.LOCAL_MINUS, 200
-        ly = np.log(ALPHA * GEOMETRIC[:n])
-        table = BoostTable(3.5, n, ly.min(), ly.max() + math.log(B_MAX))
+        table = BoostTable(3.5, n)
         calls = [(GEOMETRIC[:20], 3), (GEOMETRIC[100:120], 17), (GEOMETRIC[:20], 60)]
         factors, spans = [], []
         for gammas, k0 in calls:
             factors.append(solve_boost_factors(model, variant, ALPHA, gammas, n,
                                                lag_kstar=k0, table=table))
-            spans.append((table.fine.v[0], table.fine.v[-1]))
+            spans.append((table.v[0], table.v[-1]))
         (lo0, hi0), (lo1, hi1), (lo2, hi2) = spans
         assert lo1 < lo0 and hi1 == hi0 and lo2 == lo1 and hi2 > hi1
-        kept = table.fine.v
+        kept = table.v
         np.testing.assert_array_equal(kept, np.arange(lo2 * 32, hi2 * 32 + 1) / 32)
         for b, (gammas, k0) in zip(factors, calls):
             alone = solve_boost_factors(model, variant, ALPHA, gammas, n, lag_kstar=k0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcfdr.core import (
+    ConfigError,
     InputError,
     Score,
     ScoreKind,
@@ -203,6 +204,17 @@ class TestEToad:
         sched = DeadlineSchedule.explicit([0])
         toad = EToad(WeightSequence.geometric(0.9), 0.1, sched)
         with pytest.raises(Exception):
+            toad.step(1.0)
+
+    def test_nan_deadline_refused(self):
+        # a NaN d_1 would sit on top of the expiry heap and hold back every
+        # later expiry: d_2 and d_3 would be rejected at t = 4, past them
+        sched = DeadlineSchedule.explicit([math.nan, 2, 3, 4, 5, 6])
+        toad = EToad(WeightSequence.uniform_finite(6), 0.5, sched)
+        with pytest.raises(ConfigError, match=r"d_1=nan"):
+            toad.run([1, 4, 4, 4, 4, 4])
+        assert toad.t == 0 and toad.rejection_times == {}
+        with pytest.raises(ConfigError, match=r"d_1=nan"):
             toad.step(1.0)
 
 
