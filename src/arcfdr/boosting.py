@@ -130,28 +130,40 @@ class GaussianLRModel:
 B_MAX = 1e6             # default upper limit of a boosting factor
 _ROW_STEP = 1.0 / 32    # spacing of a BoostTable's rows in v = log u
 _ROWS_ABOVE = 32        # rows a solve first wants above its largest log y
-_POLISH_STEPS = 60      # bisection halves a 1/32-wide bracket to 1e-13 in 39
-_HERMITE_STEPS = 8      # safeguarded Newton steps on the cubic start of a cell
+_POLISH_STEPS = 60      # bisection halves a 1/32-wide bracket to 1e-13 in 39,
+                        # and a cell to 1e-13 of its width in 44
 _CHUNK_TERMS = 1 << 14  # (target, k) terms per array of an exact evaluation
 _NEWTON_DONE = 1e-11    # |Newton step| in v: the point is that close to the root
 _BISECT_DONE = 1e-13    # bracket width in v at which bisection stops
+_CELL_DONE = 1e-13      # |Newton step| on a cell's interpolant, in cell widths
+_CERTIFIED = 1e-9       # the interpolant decides where its remainder bound is below this * y
 _RESIDUAL_MAX = 1e-6    # |E_null[T(bE)] - 1| allowed at a returned factor
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# max over z of |He_i(z) phi(z)|, i = 0..7, rounded up: the i+1-th derivative
+# of Phi is (-1)^i He_i phi
+_HE_PHI_MAX = (0.3989423, 0.2419708, 0.3989423, 0.5505879,
+               1.1968269, 2.3071060, 5.9841343, 14.1779772)
+# the two-point Hermite remainder of degree 7 is G^(8) (t(1-t))^4 h^8 / 8!
+# at t in [0, 1] on a cell of width h, at most G^(8) h^8 / (8! 256)
+_REMAINDER = _ROW_STEP ** 8 / (40320.0 * 256.0)
+# c_4..c_7 of that interpolant from the residues r_0..r_3 of its upper end
+_HERMITE_HIGH = ((35.0, -15.0, 5.0, -1.0), (-84.0, 39.0, -14.0, 3.0),
+                 (70.0, -34.0, 13.0, -3.0), (-20.0, 10.0, -4.0, 1.0))
 
 
 class BoostTable:
     """Rows v = i/32, i = first, first + 1, ..., of v = log(alpha gamma b),
     of the null tail probabilities T_k(v) = P(bE >= 1/(k alpha gamma)),
-    k = 1..s, for one (delta, s): their Abel-weighted suffix sums, the same
-    suffix sums over the densities dT_k/dv, T_s and its density, and the
-    Plus pass-through term and its derivative.
+    k = 1..s, for one (delta, s): the Abel-weighted suffix sums of T_k and
+    of its first three derivatives in v, those four of T_s, and those four
+    of the Plus pass-through term.
 
     T_k depends on b and on the weight only through v, so one table per
     (delta, s) brackets the root of every target alpha*gamma_t, for every
-    cutoff variant and every lag k0, and holds G and dG/dv at its rows.  It
-    starts empty, and solve_boost_factors adds the rows its brackets need.
-    A row depends only on its v, so rows can be added at either end and
-    each is computed once per table.
+    cutoff variant and every lag k0, and holds G and its first three
+    derivatives at its rows.  It starts empty, and solve_boost_factors adds
+    the rows its brackets need.  A row depends only on its v, so rows can
+    be added at either end and each is computed once per table.
     """
 
     def __init__(self, delta: float, s: int):
@@ -163,21 +175,27 @@ class BoostTable:
         v = np.arange(lo, hi + 1) * _ROW_STEP
         logk = np.log(np.arange(1, s + 1, dtype=float))
         z = (logk + v[:, None]) / delta - delta / 2.0
-        tails = ndtr(z)
-        w = _abel_weights(1, s, s)
         dens = np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / delta)
+        # T_k and its derivatives phi/delta, -z phi/delta^2, (z^2 - 1) phi/delta^3
+        tails = np.stack([ndtr(z), dens, -z * dens / delta,
+                          (z * z - 1.0) * dens / (delta * delta)], axis=1)
+        w = _abel_weights(1, s, s)
+        # P = u Phi(a) and Q = u phi(a), a = -delta/2 - (log s + v)/delta:
+        # P' = P - Q/delta and Q' = Q (1 + a/delta)
         u = np.exp(v)
         a = -delta / 2.0 - (logk[-1] + v) / delta
-        pass_through = u * ndtr(a)
+        p = u * ndtr(a)
+        q = u * np.exp(-0.5 * a * a) * _INV_SQRT_2PI
+        r = 1.0 + a / delta
+        dp = p - q / delta
+        d2p = dp - q * r / delta
+        d3p = d2p - q * (r * r - 1.0 / (delta * delta)) / delta
         return {"v": v,
-                # suffix[:, m-1] = sum_{k >= m} w_k T_k: the minus-type sum of every k0
+                # suffix[:, i, m-1] = sum_{k >= m} w_k d^i T_k/dv^i: the
+                # minus-type sum of every k0 and its derivatives
                 "suffix": _suffix_sums(tails * w),
-                "dsuffix": _suffix_sums(dens * w),
-                "tail_last": tails[:, -1],
-                "dens_last": dens[:, -1],
-                "pass_through": pass_through,
-                "dpass_through": (pass_through
-                                  - u * np.exp(-0.5 * a * a) * (_INV_SQRT_2PI / delta))}
+                "tail_last": tails[:, :, -1],
+                "pass_through": np.stack([p, dp, d2p, d3p], axis=1)}
 
     def _set(self, rows: dict):
         for name, value in rows.items():
@@ -202,8 +220,8 @@ class BoostTable:
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    """out[:, j] = sum of x[:, j:], row by row."""
-    return np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
+    """out[..., j] = sum of x[..., j:] along the last axis."""
+    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _abel_weights(m: int, s: int, last: int) -> np.ndarray:
@@ -298,19 +316,32 @@ class BoostCurve:
         return g, dg
 
     def on_grid(self, rows: BoostTable):
-        """G and dG/dv at a table's rows from their suffix sums, for the
-        cutoff variants but PRDS: one column per distinct lag, the one of
-        target i being column[i].  Lag k0 reads suffix column m = k0 + 1 and
-        corrects the weight of T_s."""
+        """G and its first three derivatives in v at a table's rows, from
+        their suffix sums, for the cutoff variants but PRDS: shape (rows,
+        4, lags), one column per distinct lag, the one of target i being
+        column[i].  Lag k0 reads suffix column m = k0 + 1 and corrects the
+        weight of T_s."""
         k0 = self.lags
         m = np.minimum(k0 + 1, self.s)
         corr = 1.0 / np.maximum(self.s, k0 + 1) - 1.0 / self.s
-        col = rows.suffix[:, m - 1] + rows.tail_last[:, None] * corr
-        dcol = rows.dsuffix[:, m - 1] + rows.dens_last[:, None] * corr
+        col = rows.suffix[:, :, m - 1] + rows.tail_last[:, :, None] * corr
         if self.plus:
-            col = col + rows.pass_through[:, None]
-            dcol = dcol + rows.dpass_through[:, None]
-        return col, dcol
+            col = col + rows.pass_through[:, :, None]
+        return col
+
+    def remainder_bound(self, k0: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
+        """A bound on |G - p| over a cell of the rows below v_hi, p the
+        degree-7 Hermite interpolant there, for the cutoff variants but
+        PRDS.  The 8th derivative of T_k is at most max|He_7 phi|/delta^8,
+        and the weights of lag k0 sum to at most 1/m, m = min(k0 + 1, s);
+        by Leibniz, that of the pass-through term u Phi(a), a' = -1/delta,
+        is at most e^v (1 + sum_{i=1..8} C(8, i) max|He_(i-1) phi|/delta^i)."""
+        d = self.delta
+        g8 = _HE_PHI_MAX[7] / (np.minimum(k0 + 1, self.s) * d ** 8)
+        if self.plus:
+            g8 = g8 + np.exp(v_hi) * (1.0 + sum(math.comb(8, i) * _HE_PHI_MAX[i - 1] / d ** i
+                                                for i in range(1, 9)))
+        return g8 * _REMAINDER
 
     def prds_roots(self, y: np.ndarray) -> np.ndarray:
         """The root of G(v) = y[i] for PRDS in closed form.  G = max_k
@@ -328,138 +359,88 @@ class BoostCurve:
         return out
 
 
-def _hermite_root(h, g0, g1, dg0, dg1, ly):
-    """Where the cubic Hermite interpolant of log G on a cell of width h,
-    from G and dG/dv at its two ends, reaches ly, as a fraction of the cell;
-    the linear interpolant of log G where the cubic is undefined (G = 0 or
-    dG = 0 at an end), and the midpoint where that is too.
+def _hermite(lower, upper):
+    """Coefficients c_0..c_7, lowest first, in t = (v - v_lo)/h on cells
+    [v_lo, v_lo + h] of the rows, of the degree-7 polynomials that match G
+    and its first three derivatives in v at both ends (lower and upper:
+    those four at each end, one array of cells each)."""
+    scale = (1.0, _ROW_STEP, _ROW_STEP ** 2 / 2.0, _ROW_STEP ** 3 / 6.0)
+    c = [g * f for g, f in zip(lower, scale)]
+    d = [g * f for g, f in zip(upper, scale)]
+    # p^(i)(1)/i! = sum_k C(k, i) c_k: what c_4..c_7 must add to c_0..c_3 there
+    r = (d[0] - (c[0] + c[1] + c[2] + c[3]), d[1] - (c[1] + 2.0 * c[2] + 3.0 * c[3]),
+         d[2] - (c[2] + 3.0 * c[3]), d[3] - c[3])
+    high = [a0 * r[0] + a1 * r[1] + a2 * r[2] + a3 * r[3] for a0, a1, a2, a3 in _HERMITE_HIGH]
+    return np.array(c + high)
 
-    log G rises from below ly to at least ly over the cell, so a Newton
-    iteration on the cubic, safeguarded by bisection in [0, 1], finds it."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l0 = np.log(g0)
-        dl = np.log(g1) - l0
-        lin = (ly - l0) / dl
-        m0, m1 = h * dg0 / g0, h * dg1 / g1
-        c2, c3 = 3.0 * dl - 2.0 * m0 - m1, m0 + m1 - 2.0 * dl
-        f0 = l0 - ly
-        lin = np.where(np.isfinite(lin), np.clip(lin, 0.0, 1.0), 0.5)
-        cubic = np.isfinite(f0 + dl + m0 + m1) & (m0 > 0.0) & (m1 > 0.0)
-        t, t_lo, t_hi = lin.copy(), np.zeros(len(lin)), np.ones(len(lin))
-        for _ in range(_HERMITE_STEPS):
-            f = f0 + t * (m0 + t * (c2 + t * c3))
-            df = m0 + t * (2.0 * c2 + 3.0 * t * c3)
-            low = f < 0.0
-            t_lo, t_hi = np.where(low, t, t_lo), np.where(low, t_hi, t)
-            nxt = t - f / df
-            t = np.where((nxt > t_lo) & (nxt < t_hi), nxt, 0.5 * (t_lo + t_hi))
-    return np.where(cubic, t, lin)
+
+def _horner(c, t):
+    """p(t) and dp/dt of the polynomials with coefficients c, lowest first."""
+    p, dp = c[-1], np.zeros_like(t)
+    for ck in c[-2::-1]:
+        dp = dp * t + p
+        p = p * t + ck
+    return p, dp
+
+
+def _cell_roots(coef, y, start, lo, hi):
+    """A root of p(t) = y on each cell by Newton from start, safeguarded by
+    bisection in [lo, hi], where p(lo) < y <= p(hi); it ends where the next
+    step is at most 1e-13 of the cell.  Returns the last point at which p
+    was evaluated, and p - y there."""
+    t = start
+    for i in range(_POLISH_STEPS):
+        f, df = _horner(coef, t)
+        f = f - y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        # tested before the safeguard: at the root Newton's next point is
+        # on the bracket's end, where the safeguard would bisect.  A point
+        # that is done stays, and gives the same step again
+        done = np.abs(step) <= _CELL_DONE
+        if np.all(done) or i == _POLISH_STEPS - 1:
+            break
+        low = f < 0.0
+        lo, hi = np.where(low, t, lo), np.where(low, hi, t)
+        nxt = t - step
+        t = np.where(done, t, np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi)))
+    return t, f
 
 
 def _brackets(curve: BoostCurve, table: BoostTable, c, y):
     """The bracket of each target y on curve column c: the first table row
     with G >= y, G made nondecreasing (len(table.v) where no row has), and
-    G and dG/dv at the table's rows."""
-    col, dcol = curve.on_grid(table)
-    rising = np.maximum.accumulate(col, axis=0)
+    G and its first three derivatives at the table's rows."""
+    grid = curve.on_grid(table)
+    rising = np.maximum.accumulate(grid[:, 0], axis=0)
     j = np.empty(len(y), dtype=np.int64)
-    for u in range(col.shape[1]):
+    for u in range(grid.shape[2]):
         at = c == u
         j[at] = np.searchsorted(rising[:, u], y[at])
-    return j, col, dcol
+    return j, grid
 
 
-def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
-                        alpha: float, gammas, s: int, lag_kstar=None,
-                        b_max: float = B_MAX, table: BoostTable | None = None) -> np.ndarray:
-    """Largest valid boosting factors b_t, E_null[T_t(b_t E)] = 1, for many
-    weights gamma_t of one (variant, s, delta), solved together; the local
-    variants take one lag k0 for all targets, or one per target.
-
-    Each factor is the root of G(v) = alpha*gamma_t on the t-free curve of
-    BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable of the
-    model's (delta, s), the one passed in or a new one, brackets every root
-    in one cell of its rows, and adds them only as far as the brackets
-    need.  The cubic Hermite root of log G on that cell puts the start
-    within about 1e-11 of the root, so that one exact evaluation usually
-    ends a safeguarded Newton iteration in log G that polishes all pending
-    targets at once.  PRDS has its root in closed form, needs no table, and
-    takes one exact evaluation, for the residual check.  b_t = 1 where
-    E_null[T_t(E)] >= 1 already.  A target's factor does not depend on
-    which other targets or lags share the call, nor on the rows left on
-    the table by earlier calls.  Raises ConfigError for a
-    non-finite weight, and SolverError for a zero weight, for no root in
-    [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6.
-    """
-    if b_max < 1.0:
-        raise ConfigError(f"b_max={b_max} is below 1")
-    curve = BoostCurve(model.delta, variant, s, lag_kstar)
-    y = alpha * np.atleast_1d(np.asarray(gammas, dtype=float))
-    if len(curve.column) not in (1, len(y)):
-        raise ConfigError(f"{len(curve.column)} lags for {len(y)} weights")
-    if not np.all(np.isfinite(y)):
-        raise ConfigError("weights must be finite")
-    if np.any(y <= 0.0):
-        raise SolverError("gamma = 0: truncation is identically 0, no root")
-    if not len(y):
-        return np.empty(0)
-    ly = np.log(y)
-    v_top = ly + math.log(b_max)
-    if curve.prds:
-        # the root itself: a bracket of width 0, which one evaluation ends
-        top = curve.prds_roots(y)
-        below = start = np.clip(top, ly, v_top)
-        first = top <= ly
-    else:
-        if table is None or (table.delta, table.s) != (model.delta, s):
-            table = BoostTable(model.delta, s)
-        c = np.broadcast_to(curve.column, y.shape)
-        # rows from just below the least log y up, doubling the span above
-        # the largest log y until every target has its bracket, or until
-        # the rows reach the largest log(y b_max)
-        bottom = math.ceil(ly.min() / _ROW_STEP) - 1
-        highest = math.floor(ly.max() / _ROW_STEP)
-        cap = math.ceil(v_top.max() / _ROW_STEP)
-        above = _ROWS_ABOVE
-        while True:
-            table.extend(bottom, min(highest + above, cap))
-            j, col, dcol = _brackets(curve, table, c, y)
-            if np.all(j < len(table.v)) or table.last >= cap:
-                break
-            above *= 2
-        if np.any(j == len(table.v)):
-            raise SolverError(f"no root in [1, {b_max}]")
-        top, below = table.v[j], table.v[np.maximum(j - 1, 0)]
-        first = (j == 0) | (below < ly)
-        # the start: the root of the cubic Hermite interpolant of log G on
-        # the bracket's cell, rows j - 1 and j
-        start = np.full(len(y), np.nan)
-        cell = np.flatnonzero(~first)
-        if len(cell):
-            jc, cc = j[cell], c[cell]
-            frac = _hermite_root(_ROW_STEP, col[jc - 1, cc], col[jc, cc],
-                                 dcol[jc - 1, cc], dcol[jc, cc], ly[cell])
-            start[cell] = table.v[jc - 1] + frac * _ROW_STEP
-    # clipped to [log y, log(y b_max)]
+def _polish(curve: BoostCurve, y, ly, v_top, which, top, below, start, first, b_max):
+    """Roots of G(v) = y by a safeguarded Newton iteration in log G on exact
+    evaluations of G, all pending targets at once, in [below, top] clipped
+    to [log y, log(y b_max)], from start, or from log y where first, so that
+    one evaluation also settles E_null[T(E)] >= 1; which are the targets'
+    indices on the curve.  Returns each root at the last point its G was
+    evaluated, and the residual G/y - 1 there (0 at b = 1)."""
     hi = np.clip(top, ly, v_top)
     clipped = np.flatnonzero(top > v_top)
     if len(clipped):
-        g_top, _ = curve(v_top[clipped], clipped)
+        g_top, _ = curve(v_top[clipped], which[clipped])
         if np.any(g_top < y[clipped]):
             raise SolverError(f"no root in [1, {b_max}]")
-    # start at log y where the root may sit at b = 1, so that one evaluation
-    # also settles E_null[T(E)] >= 1
     lo = np.where(first, ly, below)
     v = np.where(first, ly, np.clip(start, lo, hi))
-
-    # each factor is returned at the last point its G was evaluated, so the
-    # residual check below rests on that evaluation
     v_out, g_out = np.empty(len(y)), np.empty(len(y))
     at_one = np.zeros(len(y), dtype=bool)
     pending = np.arange(len(y))
     for step in range(_POLISH_STEPS):
         vp, yp = v[pending], y[pending]
-        g, dg = curve(vp, pending)
+        g, dg = curve(vp, which[pending])
         v_out[pending], g_out[pending] = vp, g
         if step == 0:
             at_one[pending] = first & (g >= yp)
@@ -478,9 +459,118 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         pending = pending[~done]
         if not len(pending):
             break
+    return v_out, np.where(at_one, 0.0, g_out / y - 1.0)
 
-    b = np.exp(v_out - ly)
-    residual = np.where(at_one, 0.0, g_out / y - 1.0)
+
+def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
+                        alpha: float, gammas, s: int, lag_kstar=None,
+                        b_max: float = B_MAX, table: BoostTable | None = None) -> np.ndarray:
+    """Largest valid boosting factors b_t, E_null[T_t(b_t E)] = 1, for many
+    weights gamma_t of one (variant, s, delta), solved together; the local
+    variants take one lag k0 for all targets, or one per target.
+
+    Each factor is the root of G(v) = alpha*gamma_t on the t-free curve of
+    BoostCurve, so b_t = exp(v_t)/(alpha*gamma_t).  A BoostTable of the
+    model's (delta, s), the one passed in or a new one, brackets every root
+    in one cell of its rows, and adds them only as far as the brackets
+    need.  The root is that of the degree-7 Hermite interpolant p of G on
+    the cell, from G and its first three derivatives at both rows, where
+    BoostCurve.remainder_bound, the bound on |G - p|, is below 1e-9 of the
+    target; p also settles b = 1 where the cell reaches below log y (b = 1
+    where p(log y) is within that bound of the target or above), and
+    whether G reaches the target by log(y b_max).  A target whose bound is
+    larger, or whose p(log(y b_max)) is within it of the target, takes
+    exact evaluations of G instead, in a safeguarded Newton iteration from
+    the interpolant's root.  PRDS has its root in closed form, needs no
+    table, and takes one exact evaluation, for the residual check.  b_t = 1
+    where E_null[T_t(E)] >= 1 already.  A target's factor does not depend
+    on which other targets or lags share the call, nor on the rows left on
+    the table by earlier calls.  Raises ConfigError for a non-finite
+    weight, and SolverError for a zero weight, for no root in [1, b_max],
+    or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6: for a factor
+    from the interpolant, |p - y|/y plus the bound, else from the last
+    exact evaluation.
+    """
+    if b_max < 1.0:
+        raise ConfigError(f"b_max={b_max} is below 1")
+    curve = BoostCurve(model.delta, variant, s, lag_kstar)
+    y = alpha * np.atleast_1d(np.asarray(gammas, dtype=float))
+    if len(curve.column) not in (1, len(y)):
+        raise ConfigError(f"{len(curve.column)} lags for {len(y)} weights")
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("weights must be finite")
+    if np.any(y <= 0.0):
+        raise SolverError("gamma = 0: truncation is identically 0, no root")
+    if not len(y):
+        return np.empty(0)
+    ly = np.log(y)
+    v_top = ly + math.log(b_max)
+    # b = exp(v - log y), and residual bounds |G(v)/y - 1|
+    v, residual = ly.copy(), np.zeros(len(y))
+    if curve.prds:
+        # the root itself: a bracket of width 0, which one evaluation ends
+        exact = np.arange(len(y))
+        top = curve.prds_roots(y)
+        below = start = np.clip(top, ly, v_top)
+        first = top <= ly
+    else:
+        if table is None or (table.delta, table.s) != (model.delta, s):
+            table = BoostTable(model.delta, s)
+        c = np.broadcast_to(curve.column, y.shape)
+        # rows from just below the least log y up, doubling the span above
+        # the largest log y until every target has its bracket, or until
+        # the rows reach the largest log(y b_max)
+        bottom = math.ceil(ly.min() / _ROW_STEP) - 1
+        highest = math.floor(ly.max() / _ROW_STEP)
+        cap = math.ceil(v_top.max() / _ROW_STEP)
+        above = _ROWS_ABOVE
+        while True:
+            table.extend(bottom, min(highest + above, cap))
+            j, grid = _brackets(curve, table, c, y)
+            if np.all(j < len(table.v)) or table.last >= cap:
+                break
+            above *= 2
+        top, below = table.v[np.minimum(j, len(table.v) - 1)], table.v[np.maximum(j - 1, 0)]
+        # b = 1 where a row at or below log y reaches y; no root where none
+        # up to a row at or above log(y b_max) does
+        at_one = (j == 0) | (top <= ly)
+        if np.any((j == len(table.v)) | (~at_one & (v_top <= below))):
+            raise SolverError(f"no root in [1, {b_max}]")
+        cell = np.flatnonzero(~at_one)
+        jc, cc = j[cell], c[cell]
+        coef = _hermite(grid[jc - 1, :, cc].T, grid[jc, :, cc].T)
+        bound = curve.remainder_bound(curve.lags[cc], top[cell])
+        yc, low = y[cell], below[cell]
+        t_ly = np.clip((ly[cell] - low) / _ROW_STEP, 0.0, 1.0)
+        t_top = np.clip((v_top[cell] - low) / _ROW_STEP, 0.0, 1.0)
+        p_ly, _ = _horner(coef, t_ly)
+        p_top, _ = _horner(coef, t_top)
+        certified = bound < _CERTIFIED * yc
+        # where the cell reaches below log y and p(log y) is within the
+        # bound of y or above, b = 1 passes the residual check
+        one = certified & (low < ly[cell]) & (p_ly + bound >= yc)
+        # where it reaches above log(y b_max), G there is below y, or may be
+        capped = v_top[cell] < top[cell]
+        if np.any(certified & ~one & capped & (p_top + bound < yc)):
+            raise SolverError(f"no root in [1, {b_max}]")
+        exact_cell = ~one & (~certified | (capped & (p_top - bound < yc)))
+        g_lo, g_hi = coef[0], grid[jc, 0, cc]
+        t, f = _cell_roots(coef, yc, np.clip((yc - g_lo) / (g_hi - g_lo), t_ly, t_top),
+                           t_ly, t_top)
+        root = ~one & ~exact_cell
+        v[cell[root]] = np.clip(low[root] + t[root] * _ROW_STEP,
+                                ly[cell[root]], v_top[cell[root]])
+        residual[cell[root]] = (np.abs(f[root]) + bound[root]) / yc[root]
+        residual[cell[one]] = np.maximum(yc[one] - p_ly[one] + bound[one], 0.0) / yc[one]
+        exact = cell[exact_cell]
+        start = low + t * _ROW_STEP
+        top, below, start = top[exact], below[exact], start[exact_cell]
+        first = below < ly[exact]
+    if len(exact):
+        v[exact], residual[exact] = _polish(curve, y[exact], ly[exact], v_top[exact], exact,
+                                            top, below, start, first, b_max)
+
+    b = np.exp(v - ly)
     worst = int(np.argmax(np.abs(residual)))
     if not abs(residual[worst]) <= _RESIDUAL_MAX:
         raise SolverError(f"residual {residual[worst]:.3e} exceeds "

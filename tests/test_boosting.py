@@ -430,8 +430,8 @@ LAGS = (0, 3, 17, 60)
 
 def lagged(variant, n):
     """Weights gamma_1..gamma_n and their lags: the four lags of LAGS for
-    local_minus, one call for all of them, and none otherwise."""
-    if variant is TruncationVariant.LOCAL_MINUS:
+    the local variants, one call for all of them, and none otherwise."""
+    if variant in (TruncationVariant.LOCAL_MINUS, TruncationVariant.LOCAL_PLUS):
         return np.tile(GEOMETRIC[:n], len(LAGS)), np.repeat(LAGS, n)
     return GEOMETRIC[:n], None
 
@@ -456,9 +456,12 @@ def bisect_roots(curve, y, b_max=B_MAX):
 
 
 class TestOneEvaluation:
-    """The start rows put the cutoff variants' start within 1e-11 of the
-    root, and PRDS has its root in closed form, so the first exact
-    evaluation of a target is its last."""
+    """The cutoff variants find each root on the degree-7 Hermite
+    interpolant of G on its cell of the table, with no exact evaluation,
+    wherever the bound on its remainder is below 1e-9 of the target; a
+    target with a larger bound takes exact evaluations.  PRDS has its root
+    in closed form, so its first exact evaluation, for the residual check,
+    is its last."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -474,17 +477,42 @@ class TestOneEvaluation:
         return count
 
     @pytest.mark.parametrize("n", [200, 1000])
-    @pytest.mark.parametrize("delta", [2.0, 3.5, 4.5])
+    @pytest.mark.parametrize("delta", [1.0, 2.0, 3.5, 4.5])
     @pytest.mark.parametrize("variant", [TruncationVariant.MINUS,
                                          TruncationVariant.LOCAL_MINUS,
+                                         TruncationVariant.PLUS,
+                                         TruncationVariant.LOCAL_PLUS,
                                          TruncationVariant.PRDS])
     def test_one_exact_evaluation_per_target(self, evaluations, variant, delta, n):
         gammas, lags = lagged(variant, n)
         solve_boost_factors(GaussianLRModel(delta), variant, ALPHA, gammas, n, lag_kstar=lags)
-        assert evaluations[0] <= 1.02 * len(gammas)
+        if variant is TruncationVariant.PRDS:
+            assert evaluations[0] <= 1.02 * len(gammas)
+            return
+        assert evaluations[0] == 0
+        # every remainder bound, even on a cell as high as b_max, is below
+        # 1e-10 of its target
+        y = ALPHA * gammas
+        curve = BoostCurve(delta, variant, n, lags)
+        bound = curve.remainder_bound(curve.lags[curve.column], np.log(y * B_MAX))
+        assert np.all(bound < 1e-10 * y)
 
-    @pytest.mark.parametrize("delta", [2.0, 3.5, 4.5])
+    def test_large_remainder_bound_takes_exact_evaluations(self, evaluations):
+        # at delta 1 and s 1000 the bound of a minus target is 1.25e-18, so
+        # weights below about 2.5e-8 take the exact path
+        model, variant, n = GaussianLRModel(1.0), TruncationVariant.MINUS, 1000
+        for gamma, exact in [(1e-9, True), (1e-8, True), (1e-7, False), (0.01, False)]:
+            evaluations[0] = 0
+            b = solve_boost_factors(model, variant, ALPHA, [gamma], n)
+            assert (evaluations[0] > 0) == exact, gamma
+            want = bisect_roots(BoostCurve(1.0, variant, n), np.array([ALPHA * gamma]))
+            np.testing.assert_allclose(b, want, rtol=2e-11, atol=0)
+            sp = TruncationSpec(variant, ALPHA, gamma, s=n)
+            assert abs(expected_truncated_reference(model, sp, b[0]) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0, 3.5, 4.5])
     @pytest.mark.parametrize("variant", [TruncationVariant.PLUS, TruncationVariant.MINUS,
+                                         TruncationVariant.LOCAL_PLUS,
                                          TruncationVariant.LOCAL_MINUS,
                                          TruncationVariant.PRDS])
     def test_factors_match_bisection_and_reference(self, variant, delta):
