@@ -477,19 +477,21 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     the cell, from G and its first three derivatives at both rows, where
     BoostCurve.remainder_bound, the bound on |G - p|, is below 1e-9 of the
     target; p also settles b = 1 where the cell reaches below log y (b = 1
-    where p(log y) is within that bound of the target or above), and
-    whether G reaches the target by log(y b_max).  A target whose bound is
-    larger, or whose p(log(y b_max)) is within it of the target, takes
+    where p(log y) is within that bound of the target or above).  A target
+    whose bound is larger, or whose cell reaches above log(y b_max), takes
     exact evaluations of G instead, in a safeguarded Newton iteration from
-    the interpolant's root.  PRDS has its root in closed form, needs no
-    table, and takes one exact evaluation, for the residual check.  b_t = 1
-    where E_null[T_t(E)] >= 1 already.  A target's factor does not depend
-    on which other targets or lags share the call, nor on the rows left on
-    the table by earlier calls.  Raises ConfigError for a non-finite
-    weight, and SolverError for a zero weight, for no root in [1, b_max],
-    or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6: for a factor
-    from the interpolant, |p - y|/y plus the bound, else from the last
-    exact evaluation.
+    the interpolant's root; one of them, at log(y b_max), decides whether G
+    reaches the target below b_max.  PRDS has its root in closed form,
+    needs no table, and takes one exact evaluation, for the residual check.
+    b_t = 1 where E_null[T_t(E)] >= 1 already.  A target's factor does not
+    depend on which other targets or lags share the call, nor on the rows
+    left on the table by earlier calls.  Raises ConfigError for a
+    non-finite weight, and SolverError for a zero weight, for no root in
+    [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6: for
+    a factor from the interpolant, |p - y|/y plus the bound, else from the
+    last exact evaluation.  The former is at most about 1e-9, so it checks
+    p against its own bound only: that the table's rows and p are G and its
+    interpolant rests on the tests against bisection on exact evaluations.
     """
     if b_max < 1.0:
         raise ConfigError(f"b_max={b_max} is below 1")
@@ -542,21 +544,17 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         bound = curve.remainder_bound(curve.lags[cc], top[cell])
         yc, low = y[cell], below[cell]
         t_ly = np.clip((ly[cell] - low) / _ROW_STEP, 0.0, 1.0)
-        t_top = np.clip((v_top[cell] - low) / _ROW_STEP, 0.0, 1.0)
         p_ly, _ = _horner(coef, t_ly)
-        p_top, _ = _horner(coef, t_top)
         certified = bound < _CERTIFIED * yc
         # where the cell reaches below log y and p(log y) is within the
         # bound of y or above, b = 1 passes the residual check
         one = certified & (low < ly[cell]) & (p_ly + bound >= yc)
-        # where it reaches above log(y b_max), G there is below y, or may be
-        capped = v_top[cell] < top[cell]
-        if np.any(certified & ~one & capped & (p_top + bound < yc)):
-            raise SolverError(f"no root in [1, {b_max}]")
-        exact_cell = ~one & (~certified | (capped & (p_top - bound < yc)))
+        # a cell reaching above log(y b_max) leaves b_max to the exact
+        # evaluation at log(y b_max) in _polish
+        exact_cell = ~one & (~certified | (v_top[cell] < top[cell]))
         g_lo, g_hi = coef[0], grid[jc, 0, cc]
-        t, f = _cell_roots(coef, yc, np.clip((yc - g_lo) / (g_hi - g_lo), t_ly, t_top),
-                           t_ly, t_top)
+        t, f = _cell_roots(coef, yc, np.clip((yc - g_lo) / (g_hi - g_lo), t_ly, 1.0),
+                           t_ly, np.ones(len(cell)))
         root = ~one & ~exact_cell
         v[cell[root]] = np.clip(low[root] + t[root] * _ROW_STEP,
                                 ly[cell[root]], v_top[cell[root]])

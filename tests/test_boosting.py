@@ -458,10 +458,10 @@ def bisect_roots(curve, y, b_max=B_MAX):
 class TestOneEvaluation:
     """The cutoff variants find each root on the degree-7 Hermite
     interpolant of G on its cell of the table, with no exact evaluation,
-    wherever the bound on its remainder is below 1e-9 of the target; a
-    target with a larger bound takes exact evaluations.  PRDS has its root
-    in closed form, so its first exact evaluation, for the residual check,
-    is its last."""
+    wherever the bound on its remainder is below 1e-9 of the target and the
+    cell ends below b_max; any other target takes exact evaluations.  PRDS
+    has its root in closed form, so its first exact evaluation, for the
+    residual check, is its last."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
