@@ -5,7 +5,7 @@ Config precedence: command-line flags > config file (flat key=value lines,
 `#` comments) > built-in defaults.
 
 Exit status: 0 on success, 1 for a bad score in `stream` or a solver
-failure in `boost-factor`, 2 for bad usage or configuration.
+failure in `boost-factor` or `simulate`, 2 for bad usage or configuration.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ def _write_csv(path: str | None, rows: list):
 
 
 def cmd_simulate(args) -> int:
+    from .boosting import SolverError
     from .simulate import ALL_PROCEDURES, GaussianSetupConfig, run_experiment
 
     defaults = {"procedures": "oe-bh,e-lond", "mu_a": 3.5, "pi_a": "0.1",
@@ -141,7 +142,11 @@ def cmd_simulate(args) -> int:
         pi_a=pi_as[0], batch_size=int(cfg["batch_size"]), rho=float(cfg["rho"]),
         q=float(cfg["q"]), alpha=float(cfg["alpha"]), lam=float(cfg["lam"]),
         seed=int(cfg["seed"]), p_from_z=bool(cfg["p_from_z"]))
-    rows = run_experiment(base, names, pi_as, cache={})
+    try:
+        rows = run_experiment(base, names, pi_as, cache={})
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write_csv(cfg["output"], rows)
     return 0
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import ConfigError, InputError
-from .metrics import GroundTruth
+from .metrics import GroundTruth, fdp, power
 
 ENUMERATION_CAP = 20  # exhaustive 2^K search refuses above this
 
@@ -177,7 +177,7 @@ def expected_truncated_reference(model, spec, b: float) -> float:
     reference for ``boosting.expected_truncated_value`` and its solver.
 
     Each bracket probability P(1/(k ag) <= bE < 1/((k-1) ag)), a difference
-    of the tails 1 - Phi(delta/2 - log(k ag b)/delta), is weighted by the
+    of the tails Phi(log(k ag b)/delta - delta/2), is weighted by the
     grid value 1/(k ag), capped at 1/((k0+1) ag) for the Local variants;
     the Plus variants add the pass-through term E[bE 1{bE < 1/(s ag)}].
     PRDS instead evaluates the criterion sup_k P(bE >= 1/(k ag)) / (k ag).
@@ -193,7 +193,7 @@ def expected_truncated_reference(model, spec, b: float) -> float:
         raise ConfigError(f"no closed form for variant {v.value}")
     s, ag, d = int(s), spec.alpha * spec.gamma, model.delta
     ks = np.arange(1, s + 1, dtype=float)
-    tails = 1.0 - ndtr(d / 2.0 - np.log(ks * ag * b) / d)  # P(bE >= 1/(k ag))
+    tails = ndtr(np.log(ks * ag * b) / d - d / 2.0)  # P(bE >= 1/(k ag))
     if v is V.PRDS:
         return float(np.max(tails / (ks * ag)))
     values = 1.0 / (ks * ag)
@@ -297,3 +297,27 @@ def max_self_consistent_fdp(scores, weights, alpha: float, truth: GroundTruth,
         if best == 1.0:
             break
     return best
+
+
+def cell_estimates_reference(rejection_times, truths, n: int, K=None,
+                             stopping_rule=None) -> dict:
+    """``metrics.cell_estimates`` by brute force: for each run and each t,
+    R_t is rebuilt from the first-rejection times and read by ``fdp``; power
+    is ``power`` of R_n.  Means and standard errors sd / sqrt(m)."""
+    sets = [[[i for i, s in rt.items() if s <= t] for t in range(1, n + 1)]
+            for rt in rejection_times]
+    paths = [[fdp(r, truth) for r in rs] for rs, truth in zip(sets, truths)]
+
+    def mean_se(xs):
+        xs = np.array(xs, dtype=float)
+        return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(len(xs)))
+
+    out = {"fdr_at_T": mean_se([p[-1] for p in paths]),
+           "sup_fdr": mean_se([max(p) for p in paths]),
+           "power": mean_se([power(rs[-1], tr) for rs, tr in zip(sets, truths)])}
+    if K is not None:
+        out["sup_fdr_K"] = mean_se([max(p[:K]) for p in paths])
+    if stopping_rule is not None:
+        stops = stopping_rule.stop_times([[len(r) for r in rs] for rs in sets])
+        out["stop_fdr"] = mean_se([p[t - 1] for p, t in zip(paths, stops)])
+    return out

@@ -23,9 +23,9 @@ from arcfdr.core import (
 from arcfdr.e_procedures import OnlineEBH
 from arcfdr.metrics import (
     GroundTruth,
-    estimate_metrics,
+    StoppingRule,
+    cell_estimates,
     fdp,
-    fdp_path_from_rejection_times,
     power,
 )
 from arcfdr.oracles import (
@@ -217,21 +217,33 @@ def test_criterion_5_fdr_bounds(s6_default, s6_independent):
     cfg, runs, truths, t_dep = s6_default
     cfg_ind, runs_ind, truths_ind, t_ind = s6_independent
 
-    def sup_fdr(rs, trs, n):
-        paths = [fdp_path_from_rejection_times(r.rejection_times, tr, n)
-                 for r, tr in zip(rs, trs)]
-        return estimate_metrics(paths)["sup_fdr"]
+    def estimates(rs, trs):
+        """cell_estimates with FDR at tau_10 and tau_20, the times of the
+        10th and 20th rejection, on the null mask run_experiment builds."""
+        nulls = np.array([tr.labels for tr in trs], dtype=bool)
+        times = [r.rejection_times for r in rs]
+        return [cell_estimates(times, nulls,
+                               stopping_rule=StoppingRule.time_of_jth_rejection(j))
+                for j in (10, 20)]
 
-    e_mean, e_se = sup_fdr(runs["oe-bh"], truths, cfg.n)
-    p_mean, p_se = sup_fdr(runs_ind["obh"], truths_ind, cfg_ind.n)
+    e_est = estimates(runs["oe-bh"], truths)
+    p_est = estimates(runs_ind["obh"], truths_ind)
+    e_mean, e_se = e_est[0]["sup_fdr"]
+    p_mean, p_se = p_est[0]["sup_fdr"]
     e_bound = 0.05
     p_bound = 0.05 * (1.0 + math.log(20.0))
+    stops = [(label, j, *est["stop_fdr"])
+             for label, ests in (("oe-BH", e_est), ("oBH, indep", p_est))
+             for j, est in zip((10, 20), ests)]
     elapsed = t_dep + t_ind
     ok = (e_mean <= e_bound + 3 * e_se and p_mean <= p_bound + 3 * p_se
+          and all(mean <= cfg.alpha + 3 * se for _, _, mean, se in stops)
           and elapsed < 120.0)
+    stop_text = ", ".join(f"FDR_tau{j}({label})={mean:.4f} <= {cfg.alpha}+3*{se:.4f}"
+                          for label, j, mean, se in stops)
     report(5, ok, f"SupFDR(oe-BH)={e_mean:.4f} <= {e_bound}+3*{e_se:.4f}, "
                   f"SupFDR(oBH, indep)={p_mean:.4f} <= {p_bound:.4f}+3*{p_se:.4f}, "
-                  f"{elapsed:.0f}s (< 120s)")
+                  f"{stop_text}, {elapsed:.0f}s (< 120s)")
 
 
 def test_criterion_6_power_ordering(power_grid):

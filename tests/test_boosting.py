@@ -396,8 +396,9 @@ class TestSolverProperties:
     def test_library_formula_matches_reference(self, config, b):
         # Abel sums on BoostCurve against the bracket sum: within 8.5e-8
         # relative (1.8e-9 absolute at the solved factors), plus the
-        # reference's own rounding, whose 1 - ndtr loses a few eps of each
-        # tail and weights it by up to 1/(alpha gamma)
+        # reference's own rounding: each tail is one ndtr, good to a few eps
+        # of itself, and a bracket weights the difference of two tails by up
+        # to 1/(alpha gamma)
         variant, s, k0, delta, alpha, gammas = config
         local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
         model = GaussianLRModel(delta)
@@ -406,6 +407,19 @@ class TestSolverProperties:
             atol = max(2e-9, 4.0 * np.finfo(float).eps / (alpha * gamma))
             assert expected_truncated_value(model, sp, b) == pytest.approx(
                 expected_truncated_reference(model, sp, b), rel=1e-7, abs=atol)
+
+    @pytest.mark.parametrize("gamma", [1e-10, 1e-12, 1e-14, 1e-16])
+    @pytest.mark.parametrize("variant, lag", [(TruncationVariant.MINUS, None),
+                                              (TruncationVariant.LOCAL_MINUS, 60)])
+    def test_reference_at_tiny_weights(self, variant, lag, gamma):
+        # the bracket sum weights each tail by up to 1/(alpha gamma), 2e17 at
+        # gamma 1e-16: a tail formed as 1 - ndtr(x) has an absolute error of
+        # a few eps, which that weight blows up, and ndtr(-x) keeps each tail
+        # to a few eps of itself
+        model = GaussianLRModel(3.5)
+        sp = TruncationSpec(variant, ALPHA, gamma, s=5000, lag_kstar=lag)
+        b = solve_boost_factor(model, sp)
+        assert abs(expected_truncated_reference(model, sp, b) - 1.0) <= 1e-12
 
     def test_lags_match_the_targets(self):
         model = GaussianLRModel(3.0)

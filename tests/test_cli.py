@@ -203,6 +203,13 @@ class TestSimulateCsv:
         assert status == 0
         assert len(out.strip().splitlines()) == 1 + 2 * 3
 
+    def test_solver_error_exits_1_without_a_traceback(self):
+        status, out, err = run_cli(["simulate", "--procedures", "oe-bh-boost-minus",
+                                    "--n", "4000", "--m", "2"])
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_unknown_procedure_fails(self):
         status, _, err = run_cli(["simulate", "--procedures", "nope",
                                   "--n", "100", "--m", "2"])

@@ -4,15 +4,13 @@ import pytest
 from arcfdr.core import InputError, RejectionSet, WeightSequence
 from arcfdr.e_procedures import OnlineEBH
 from arcfdr.metrics import (
-    FdpPath,
     GroundTruth,
     StoppingRule,
     cell_estimates,
-    estimate_metrics,
     fdp,
-    fdp_path_from_rejection_times,
     power,
 )
+from arcfdr.oracles import cell_estimates_reference
 
 
 class TestGroundTruth:
@@ -53,14 +51,15 @@ class TestNullMask:
             raise AssertionError("is_null read per index")
 
         monkeypatch.setattr(GroundTruth, "is_null", no_per_index)
-        assert fdp_path_from_rejection_times(times, truth, 60).values.tolist() == want_path
+        assert [fdp([i for i, s in times.items() if s <= t], truth)
+                for t in range(1, 61)] == want_path
         assert power(sorted(times), truth) == want_power
         assert fdp(sorted(times), truth) == want_path[-1]
 
     def test_index_beyond_the_truth(self):
         truth = GroundTruth.from_nulls({1}, 3)
         with pytest.raises(InputError, match="index 4 not covered"):
-            fdp_path_from_rejection_times({1: 1, 4: 4}, truth, 4)
+            fdp([1, 4], truth)
         with pytest.raises(InputError, match="index 4 not covered"):
             power([1, 4], truth)
 
@@ -92,104 +91,22 @@ class TestFdpPower:
         assert power([], t) == 0.0  # 0/1 convention, no division by zero
 
 
-class TestFdpPath:
-    def test_sup_and_at(self):
-        p = FdpPath([0.0, 0.5, 0.25])
-        assert p.sup_fdp == 0.5
-        assert p.sup_upto(1) == 0.0
-        assert p.at(2) == 0.5
-
-    def test_range_validated(self):
-        with pytest.raises(InputError):
-            FdpPath([0.0, 1.5])
-
-    @pytest.mark.parametrize("t", [0, -1, 4])
-    def test_at_outside_horizon_rejected(self, t):
-        # no wrap-around: at(0) and at(-1) would read the end of the path
-        with pytest.raises(InputError, match=f"t={t} outside 1..3"):
-            FdpPath([0.0, 0.5, 0.25]).at(t)
-
-    def test_from_rejection_times(self):
-        # rejections: index 1 at t=2 (null), index 3 at t=3 (non-null)
-        truth = GroundTruth.from_nulls({1}, 4)
-        path = fdp_path_from_rejection_times({1: 2, 3: 3}, truth, 4)
-        np.testing.assert_allclose(path.values, [0.0, 1.0, 0.5, 0.5])
-        assert path.sup_fdp == 1.0
-
-    def test_matches_stepwise_recomputation(self):
-        rng = np.random.default_rng(31)
-        w = WeightSequence.geometric(0.9)
-        n = 200
-        scores = np.exp(3.0 * rng.standard_normal(n) - 2.0)
-        proc = OnlineEBH(w, 0.1).run([float(e) for e in scores])
-        truth = GroundTruth(tuple(bool(b) for b in rng.random(n) < 0.8))
-        fast = fdp_path_from_rejection_times(proc.rejection_times, truth, n)
-        slow = []
-        for t in range(1, n + 1):
-            rej = [i for i, ti in proc.rejection_times.items() if ti <= t]
-            slow.append(fdp(rej, truth))
-        np.testing.assert_allclose(fast.values, slow)
-
-
 class TestStoppingRule:
     def test_fixed_time(self):
         rule = StoppingRule.fixed_time(5)
-        assert rule.stop_time([0, 0, 1, 1, 2, 2, 3]) == 5
-        assert rule.stop_time([0, 0]) == 2  # capped at the horizon
+        assert rule.stop_times([[0, 0, 1, 1, 2, 2, 3], [0] * 7]).tolist() == [5, 5]
+        assert rule.stop_times([[0, 0]]).tolist() == [2]  # capped at the horizon
 
     def test_jth_rejection(self):
         rule = StoppingRule.time_of_jth_rejection(2)
-        assert rule.stop_time([0, 1, 1, 2, 3]) == 4
-        assert rule.stop_time([0, 1, 1]) == 3  # never reached: the horizon
+        assert rule.stop_times([[0, 1, 1, 2, 3], [2, 2, 2, 2, 2]]).tolist() == [4, 1]
+        assert rule.stop_times([[0, 1, 1]]).tolist() == [3]  # never reached: the horizon
 
     def test_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="T=0"):
             StoppingRule.fixed_time(0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="j=0"):
             StoppingRule.time_of_jth_rejection(0)
-
-
-class TestEstimateMetrics:
-    def _paths(self):
-        return [FdpPath([0.0, 0.5, 0.25]), FdpPath([0.0, 0.0, 0.5])]
-
-    def test_means(self):
-        out = estimate_metrics(self._paths(), power_values=[0.4, 0.6], K=2)
-        assert out["fdr_at_T"][0] == pytest.approx((0.25 + 0.5) / 2)
-        assert out["sup_fdr"][0] == pytest.approx(0.5)
-        assert out["sup_fdr_K"][0] == pytest.approx(0.25)
-        assert out["power"][0] == pytest.approx(0.5)
-        for mean, se in out.values():
-            assert se >= 0.0
-
-    def test_sup_dominates_stop(self):
-        rng = np.random.default_rng(33)
-        paths = [FdpPath(np.minimum(1.0, np.abs(rng.random(50)))) for _ in range(20)]
-        counts = [np.cumsum(rng.random(50) < 0.2) for _ in range(20)]
-        rule = StoppingRule.time_of_jth_rejection(3)
-        out = estimate_metrics(paths, stopping_rule=rule, rejection_counts=counts)
-        assert out["sup_fdr"][0] >= out["stop_fdr"][0]
-
-    def test_needs_two_trials(self):
-        with pytest.raises(InputError):
-            estimate_metrics([FdpPath([0.1])])
-
-    def test_stop_needs_counts(self):
-        with pytest.raises(InputError):
-            estimate_metrics(self._paths(), stopping_rule=StoppingRule.fixed_time(1))
-
-    def test_per_trial_lists_match_paths(self):
-        paths = self._paths() + [FdpPath([0.0, 0.0, 0.0])]
-        rule = StoppingRule.fixed_time(2)
-        with pytest.raises(InputError, match="1 rejection_counts for 3 FDP paths"):
-            estimate_metrics(paths, stopping_rule=rule, rejection_counts=[[0, 1, 1]])
-        with pytest.raises(InputError, match="2 power_values for 3 FDP paths"):
-            estimate_metrics(paths, power_values=[0.4, 0.6])
-        out = estimate_metrics(paths, power_values=iter([0.4, 0.6, 0.5]),
-                               stopping_rule=rule,
-                               rejection_counts=[[0, 1, 1]] * 3)
-        assert out["stop_fdr"][0] == pytest.approx(0.5 / 3)
-        assert out["power"][0] == pytest.approx(0.5)
 
 
 class TestCellEstimates:
@@ -202,22 +119,72 @@ class TestCellEstimates:
             times.append({int(i): int(rng.integers(i, n + 1)) for i in rejected})
         return times, nulls
 
+    def test_two_runs_by_hand(self):
+        # run 0: index 1 (null) at t=2, index 3 at t=3 -> FDP 0, 1, 1/2, 1/2
+        # run 1: index 1 at t=1, index 2 (null) at t=4 -> FDP 0, 0, 0, 1/2
+        nulls = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=bool)
+        times = [{1: 2, 3: 3}, {1: 1, 2: 4}]
+        out = cell_estimates(times, nulls, K=2, stopping_rule=StoppingRule.fixed_time(3))
+        assert out["fdr_at_T"][0] == 0.5 and out["fdr_at_T"][1] == 0.0
+        assert out["sup_fdr"][0] == 0.75
+        assert out["sup_fdr_K"][0] == 0.5
+        assert cell_estimates(times, nulls, K=1)["sup_fdr_K"] == (0.0, 0.0)
+        assert out["stop_fdr"][0] == 0.25
+        assert out["power"][0] == pytest.approx(1.0 / 3.0)
+        for rule, want in ((StoppingRule.fixed_time(9), 0.5),  # capped at t=4
+                           (StoppingRule.time_of_jth_rejection(2), 0.5),
+                           (StoppingRule.time_of_jth_rejection(3), 0.5)):  # the horizon
+            assert cell_estimates(times, nulls, stopping_rule=rule)["stop_fdr"][0] == want
+
+    def test_returns_the_extras_only_on_request(self):
+        times, nulls = self.runs()
+        assert set(cell_estimates(times, nulls)) == {"fdr_at_T", "sup_fdr", "power"}
+        out = cell_estimates(times, nulls, K=3, stopping_rule=StoppingRule.fixed_time(3))
+        assert set(out) == {"fdr_at_T", "sup_fdr", "power", "sup_fdr_K", "stop_fdr"}
+        for mean, se in out.values():
+            assert se >= 0.0
+
+    EXTRAS = [{}, {"K": 5, "stopping_rule": StoppingRule.time_of_jth_rejection(3)},
+              {"K": 40, "stopping_rule": StoppingRule.fixed_time(12)},
+              {"K": 1, "stopping_rule": StoppingRule.time_of_jth_rejection(1)}]
+
     def test_equals_per_run_estimates_bit_for_bit(self):
-        for seed in range(5):
+        for seed in range(30):
             times, nulls = self.runs(seed=seed)
             truths = [GroundTruth(tuple(bool(v) for v in row)) for row in nulls]
-            n = nulls.shape[1]
-            paths = [fdp_path_from_rejection_times(rt, tr, n)
-                     for rt, tr in zip(times, truths)]
-            powers = [power(tuple(sorted(rt)), tr) for rt, tr in zip(times, truths)]
-            assert cell_estimates(times, nulls) == estimate_metrics(
-                paths, power_values=powers)
+            for extras in self.EXTRAS:
+                assert cell_estimates(times, nulls, **extras) == cell_estimates_reference(
+                    times, truths, nulls.shape[1], **extras)
+
+    def test_matches_stepwise_recomputation(self):
+        # e-values of mean 1 under the null, large under the alternative
+        rng = np.random.default_rng(31)
+        w = WeightSequence.geometric(0.99)
+        n, m = 200, 4
+        nulls = rng.random((m, n)) < 0.8
+        scores = np.exp(3.0 * rng.standard_normal((m, n)) - 4.5 + 9.0 * ~nulls)
+        times = [OnlineEBH(w, 0.5).run([float(e) for e in row]).rejection_times
+                 for row in scores]
+        truths = [GroundTruth(tuple(bool(v) for v in row)) for row in nulls]
+        assert min(map(len, times)) >= 3
+        for extras in self.EXTRAS:
+            assert cell_estimates(times, nulls, **extras) == cell_estimates_reference(
+                times, truths, n, **extras)
+
+    def test_sup_dominates_stop(self):
+        times, nulls = self.runs(m=20, n=50, seed=33)
+        for rule in (StoppingRule.time_of_jth_rejection(3), StoppingRule.fixed_time(20)):
+            out = cell_estimates(times, nulls, stopping_rule=rule)
+            assert out["sup_fdr"][0] >= out["stop_fdr"][0]
 
     def test_checks_its_input(self):
         times, nulls = self.runs()
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="at least 2 trials"):
             cell_estimates(times[:1], nulls[:1])  # one trial has no standard error
         with pytest.raises(InputError):
             cell_estimates(times[:-1], nulls)
         with pytest.raises(InputError):
             cell_estimates([{1: 31}] + times[1:], nulls)
+        for K in (0, -1):
+            with pytest.raises(InputError, match=f"K={K} must be >= 1"):
+                cell_estimates(times, nulls, K=K)
