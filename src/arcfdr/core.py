@@ -88,8 +88,19 @@ def score_values(scores, kind: ScoreKind, t: int = 0) -> np.ndarray:
     return values
 
 
+# read as a module name on every step: an enum member lookup costs more
+# than the rest of the fast path below
+_P_VALUE = ScoreKind.P_VALUE
+
+
 def score_value(score, kind: ScoreKind) -> float:
-    """Accept a raw float or a Score; enforce the stream's kind."""
+    """Accept a raw float or a Score; enforce the stream's kind.
+
+    A Python float in range is returned as it is, at once; NaN fails the
+    range test.  Everything else goes through ``validate_score_value``, so
+    the value, its type and every error message are the same either way."""
+    if type(score) is float and 0.0 <= score <= (1.0 if kind is _P_VALUE else math.inf):
+        return score
     if isinstance(score, Score):
         if score.kind is not kind:
             raise InputError(
@@ -210,16 +221,25 @@ class WeightSequence:
 class RejectionSet:
     """The set of rejected hypothesis indices at a given step, from a tuple,
     which is range-checked, or in O(1) from a procedure's first-rejection
-    times: R_t is the first |R_t| entries of that dict, all at times <= t.
-    The size is fixed when the set is built; ``indices`` sorts on first read.
+    times with ``view``: R_t is the first |R_t| entries of that dict, all at
+    times <= t.  The size is fixed when the set is built; ``indices`` sorts
+    on first read.
     """
 
     def __init__(self, indices, time: int):
-        self._times, self._size, self.time = indices, len(indices), time
-        if not isinstance(indices, dict):
-            if indices and (min(indices) < 1 or max(indices) > time):
-                raise InputError("rejection set contains an index beyond its time")
-            self._times, self.indices = dict.fromkeys(indices, time), indices
+        if indices and (min(indices) < 1 or max(indices) > time):
+            raise InputError("rejection set contains an index beyond its time")
+        self._times, self._size, self.time = dict.fromkeys(indices, time), len(indices), time
+        self.indices = indices
+
+    @classmethod
+    def view(cls, times: dict, time: int) -> "RejectionSet":
+        """R_time from first-rejection times in rejection order, in O(1) and
+        without the range check: the first len(times) entries of such a dict
+        are all at times <= time."""
+        view = object.__new__(cls)
+        view._times, view._size, view.time = times, len(times), time
+        return view
 
     @cached_property
     def indices(self) -> tuple:

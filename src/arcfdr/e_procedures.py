@@ -31,6 +31,8 @@ from .core import (
 )
 from .metrics import rejection_counts
 
+_view = RejectionSet.view  # bound once: every step builds R_t with it
+
 
 class DeadlineSchedule:
     """Per-hypothesis decision deadlines d_t >= t (possibly +inf)."""
@@ -104,19 +106,19 @@ class StreamProcedure:
         for i in new:
             self.rejection_times[i] = t
 
-    def _feed(self, score) -> list:
-        """Advance one step and keep the books."""
+    def step(self, score) -> RejectionSet:
+        """Feed one score, returning the current rejection set: validate the
+        score, key it, place the key, book what it newly rejects and return
+        R_t as an O(1) view."""
         t = self.t + 1
         new = self._place(self._need(score_value(score, self.kind), t), t)
         self.t = t
         if new:
             self._record(new, t)
-        return new
-
-    def step(self, score) -> RejectionSet:
-        """Feed one score, returning the current rejection set."""
-        self._last_new = tuple(sorted(self._feed(score)))
-        return self.rejection_set()
+            self._last_new = tuple(sorted(new))
+        else:
+            self._last_new = ()
+        return _view(self.rejection_times, t)
 
     def run(self, scores) -> "StreamProcedure":
         """Feed a whole stream without materializing per-step sets.
@@ -128,7 +130,8 @@ class StreamProcedure:
         values = score_values(scores, self.kind, self.t)
         if not len(values):
             return self
-        self._last_new = tuple(sorted(self._run(self._needs(values, t0), t0)))
+        new = self._run(self._needs(values, t0), t0)
+        self._last_new = tuple(sorted(new)) if new else ()
         return self
 
     def _run(self, keys, t0: int) -> list:
@@ -144,7 +147,7 @@ class StreamProcedure:
 
     def rejection_set(self) -> RejectionSet:
         """R_t in O(1): a view of the rejection times up to their size now."""
-        return RejectionSet(self.rejection_times, self.t)
+        return _view(self.rejection_times, self.t)
 
     @property
     def newly_rejected(self) -> tuple:

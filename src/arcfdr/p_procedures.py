@@ -215,6 +215,9 @@ class OnlineStoreyBH(_KStarStepUpP):
         if not (alpha <= lam < 1.0):
             raise ConfigError(f"lambda={lam} outside [alpha, 1)")
         self.lam = lam
+        # the constant terms of pi0_hat, read once instead of on every step
+        self._gamma_max = weights.gamma_max
+        self._one_minus_lam = 1.0 - lam
         self._over_lambda_mass = 0.0
         self.pi0_hat = math.inf
 
@@ -226,8 +229,8 @@ class OnlineStoreyBH(_KStarStepUpP):
         # the two masses are rounded separately, so the formula can rise by an
         # ulp when P_t > lambda; the min keeps pi0_hat, and so k*, monotone
         self.pi0_hat = min(self.pi0_hat, (
-            self.weights.gamma_max + self._over_lambda_mass + self.weights.tail_mass(t)
-        ) / (1.0 - self.lam))
+            self._gamma_max + self._over_lambda_mass + self.weights.tail_mass(t)
+        ) / self._one_minus_lam)
         if value <= self.lam and g > 0.0:
             ag = self.alpha * g
             if ag == 0.0:

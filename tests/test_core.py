@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,10 @@ from arcfdr.core import (
     is_self_consistent,
     minimal_k_evalue,
     minimal_k_pvalue,
+    score_value,
+    validate_score_value,
 )
+from arcfdr.e_procedures import OnlineEBH
 from arcfdr.p_procedures import Lond, Lord, OnlineBH
 
 
@@ -40,6 +44,44 @@ class TestScore:
     def test_nan_rejected(self):
         with pytest.raises(InputError):
             Score(math.nan, ScoreKind.P_VALUE)
+
+
+def _outcome(fn, x, kind):
+    """What fn(x, kind) gives: the value with its type and the sign of a
+    zero, or the InputError message."""
+    try:
+        v = fn(x, kind)
+    except InputError as exc:
+        return str(exc)
+    return type(v), v, math.copysign(1.0, v)
+
+
+class TestScoreValue:
+    """``score_value`` returns an in-range float at once and sends all else
+    to ``validate_score_value``: either way the outcome must be the same."""
+
+    INPUTS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0,
+              math.nextafter(1.0, 2.0), np.float64(0.3), np.float64("nan"), 1, True,
+              "0.5", None]
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    @pytest.mark.parametrize("x", INPUTS, ids=repr)
+    def test_equals_validation(self, x, kind):
+        assert _outcome(score_value, x, kind) == _outcome(validate_score_value, x, kind)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(), st.sampled_from(list(ScoreKind)))
+    def test_equals_validation_on_all_floats(self, x, kind):
+        assert _outcome(score_value, x, kind) == _outcome(validate_score_value, x, kind)
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_scores_of_both_kinds(self, kind):
+        for s in (Score(0.5, ScoreKind.P_VALUE), Score(2.0, ScoreKind.E_VALUE)):
+            if s.kind is kind:
+                assert _outcome(score_value, s, kind) == (float, s.value, 1.0)
+            else:
+                with pytest.raises(InputError, match="fed to a"):
+                    score_value(s, kind)
 
 
 class TestWeightSequence:
@@ -198,6 +240,32 @@ class TestRejectionSet:
     def test_empty_at_time_zero(self):
         r = RejectionSet((), 0)
         assert len(r) == 0 and 1 not in r
+
+    def test_step_set_is_fixed_at_its_time(self):
+        # OnlineBH rejects 2 after 3 at t = 3, and more after each set is
+        # returned; no set's indices are read before the last step
+        p = [0.3, 0.04, 0.001, 0.5, 0.02, 0.0005, 0.8, 0.03, 0.0001, 0.6]
+        proc = OnlineBH(WeightSequence.uniform_finite(10), 0.2)
+        steps = []
+        for x in p:
+            r = proc.step(x)
+            seen = set(proc.rejection_times)
+            steps.append((r, len(seen), [i in seen for i in range(12)], sorted(seen)))
+        assert proc.k_star == 6
+        for r, size, member, indices in steps:
+            assert len(r) == size
+            assert [i in r for i in range(12)] == member
+            assert r.indices == tuple(indices)
+
+    def test_newly_rejected_of_a_step(self):
+        # gamma 1/3, alpha 0.5: the needs are 3, 2 and 1, so the third
+        # arrival rejects all three, popping them as [3, 2, 1]
+        proc = OnlineEBH(WeightSequence.uniform_finite(3), 0.5)
+        for e in (2.0, 3.0):
+            proc.step(e)
+            assert proc.newly_rejected == ()
+        proc.step(6.0)
+        assert proc.newly_rejected == (1, 2, 3)
 
 
 class TestSelfConsistency:
