@@ -1,6 +1,13 @@
 """Command-line entry point: simulations, single-stream evaluation, boosting
 factors, adversarial sharpness runs, and oracle cross-checks.
 
+Each subcommand declares its options once, in a table of config key, type,
+default, choices and help.  Every flag is also a config key, written with
+dashes or underscores (``--batch-size`` is ``batch-size`` or ``batch_size``),
+and a config-file value is read with the flag's type and choices.
+`simulate`'s flags other than --procedures, --pi-a (a grid) and --output
+are the fields of ``GaussianSetupConfig``, with its defaults.
+
 Config precedence: command-line flags > config file (flat key=value lines,
 `#` comments) > built-in defaults.
 
@@ -15,13 +22,24 @@ import math
 import os
 import sys
 import tempfile
-from bisect import insort
+from dataclasses import fields
+from typing import NamedTuple
+
+from .simulate import GaussianSetupConfig
 
 CSV_COLUMNS = ("procedure", "pi_a", "mu_a", "q", "alpha", "metric", "value",
                "stderr", "n", "m", "seed")
 
 _FLAGS = {"true": True, "1": True, "false": False, "0": False}
-_KINDS = ("p", "e")
+
+
+class _Option(NamedTuple):
+    """A subcommand option; its flag is its config key with dashes.  A bool
+    option is a flag without a value."""
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
 
 
 def _read_config(path: str) -> dict:
@@ -39,35 +57,34 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _merge(args: argparse.Namespace, defaults: dict, choices=None) -> dict:
+def _merge(args: argparse.Namespace, options: dict) -> dict:
     """flags > config file > defaults; argparse leaves unset flags as None.
-    A file value of a key in choices must be one of the values listed."""
-    choices = choices or {}
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        path = args.config
-        for key, (value, lineno) in _read_config(path).items():
-            where = f"{path}:{lineno}: config key {key!r}"
-            if key not in defaults:
+    A file value is read with its option's type and must be one of its
+    choices."""
+    merged = {key: opt.default for key, opt in options.items()}
+    if args.config:
+        for key, (value, lineno) in _read_config(args.config).items():
+            where = f"{args.config}:{lineno}: config key {key!r}"
+            if key not in options:
                 raise ValueError(f"{where} is unknown")
-            default = defaults[key]
-            if isinstance(default, bool):
+            opt = options[key]
+            if opt.type is bool:
                 # bool("false") is True, so flags are read by name
                 if value.lower() not in _FLAGS:
                     raise ValueError(f"{where} must be true, false, 1 or 0, got {value!r}")
                 value = _FLAGS[value.lower()]
-            elif default is not None:
+            else:
                 try:
-                    value = type(default)(value)
+                    value = opt.type(value)
                 except ValueError:
-                    raise ValueError(f"{where} expects {type(default).__name__}, "
+                    raise ValueError(f"{where} expects {opt.type.__name__}, "
                                      f"got {value!r}") from None
-            if key in choices and value not in choices[key]:
-                raise ValueError(f"{where} must be {' or '.join(choices[key])}, "
+            if opt.choices and value not in opt.choices:
+                raise ValueError(f"{where} must be {' or '.join(opt.choices)}, "
                                  f"got {value!r}")
             merged[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -125,23 +142,24 @@ def _write_csv(path: str | None, rows: list):
         raise
 
 
-def cmd_simulate(args) -> int:
-    from .boosting import SolverError
-    from .simulate import ALL_PROCEDURES, GaussianSetupConfig, run_experiment
+# GaussianSetupConfig's fields and defaults; pi_a keeps its place but is a grid
+SIMULATE_OPTIONS = {
+    "procedures": _Option(str, "oe-bh,e-lond", help="comma list or 'all'"),
+    **{f.name: _Option(type(f.default), f.default) for f in fields(GaussianSetupConfig)},
+    "pi_a": _Option(str, "0.1", help="value or start:stop:step"),
+    "output": _Option(str, help="CSV path (stdout if omitted)"),
+}
 
-    defaults = {"procedures": "oe-bh,e-lond", "mu_a": 3.5, "pi_a": "0.1",
-                "n": 1000, "m": 100, "q": 0.99, "alpha": 0.05, "lam": 0.5,
-                "batch_size": 20, "rho": 0.5, "seed": 0, "p_from_z": False,
-                "output": None}
-    cfg = _merge(args, defaults)
+
+def cmd_simulate(cfg: dict) -> int:
+    from .boosting import SolverError
+    from .simulate import ALL_PROCEDURES, run_experiment
+
     names = (list(ALL_PROCEDURES) if cfg["procedures"] == "all"
-             else [p.strip() for p in str(cfg["procedures"]).split(",") if p.strip()])
-    pi_as = _parse_grid(str(cfg["pi_a"]))
-    base = GaussianSetupConfig(
-        n=int(cfg["n"]), m=int(cfg["m"]), mu_a=float(cfg["mu_a"]),
-        pi_a=pi_as[0], batch_size=int(cfg["batch_size"]), rho=float(cfg["rho"]),
-        q=float(cfg["q"]), alpha=float(cfg["alpha"]), lam=float(cfg["lam"]),
-        seed=int(cfg["seed"]), p_from_z=bool(cfg["p_from_z"]))
+             else [p.strip() for p in cfg["procedures"].split(",") if p.strip()])
+    pi_as = _parse_grid(cfg["pi_a"])
+    base = GaussianSetupConfig(**{f.name: cfg[f.name] for f in fields(GaussianSetupConfig)
+                                  if f.name != "pi_a"}, pi_a=pi_as[0])
     try:
         rows = run_experiment(base, names, pi_as, cache={})
     except SolverError as exc:
@@ -151,37 +169,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_stream(args) -> int:
+STREAM_OPTIONS = {"kind": _Option(str, "e", ("p", "e")), "alpha": _Option(float, 0.05),
+                  "gamma": _Option(str, "geometric:0.99", help="uniform:K or geometric:q")}
+
+
+def cmd_stream(cfg: dict) -> int:
     from .core import InputError, WeightSequence
     from .e_procedures import OnlineEBH
     from .p_procedures import OnlineBH
 
-    defaults = {"kind": "e", "alpha": 0.05, "gamma": "geometric:0.99"}
-    cfg = _merge(args, defaults, choices={"kind": _KINDS})
-    gspec = str(cfg["gamma"])
-    if gspec.startswith("uniform:"):
-        weights = WeightSequence.uniform_finite(int(gspec.split(":", 1)[1]))
-    elif gspec.startswith("geometric:"):
-        weights = WeightSequence.geometric(float(gspec.split(":", 1)[1]))
-    else:
-        raise ValueError(f"gamma must be uniform:K or geometric:q, got {gspec!r}")
+    family, _, param = cfg["gamma"].partition(":")
+    families = {"uniform": (int, WeightSequence.uniform_finite),
+                "geometric": (float, WeightSequence.geometric)}
+    try:
+        parse, make = families[family]
+        param = parse(param)
+    except (KeyError, ValueError):
+        raise ValueError("gamma must be uniform:K or geometric:q, "
+                         f"got {cfg['gamma']!r}") from None
     cls = OnlineEBH if cfg["kind"] == "e" else OnlineBH
-    proc = cls(weights, float(cfg["alpha"]))
-    rejected = []  # R_t in ascending order, kept here as every line prints it
+    proc = cls(make(param), cfg["alpha"])
     for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            value = float(line)
-            proc.step(value)
+            rejected = proc.step(float(line))
         except (ValueError, InputError) as exc:
             print(f"line {lineno}: invalid score {line!r}: {exc}", file=sys.stderr)
             return 1
-        for i in proc.newly_rejected:
-            insort(rejected, i)
-        shown = "{" + ",".join(str(i) for i in rejected) + "}"
-        new = "{" + ",".join(str(i) for i in proc.newly_rejected) + "}"
+        shown = "{" + ",".join(map(str, rejected.indices)) + "}"
+        new = "{" + ",".join(map(str, proc.newly_rejected)) + "}"
         print(f"t={proc.t} k*={proc.k_star} rejected={shown} new={new}")
     return 0
 
@@ -194,23 +212,24 @@ _BOOST_PRESET = (
     ("local_minus", 100, 2), ("local_minus", 100, 10),
 )
 
+BOOST_FACTOR_OPTIONS = {
+    "preset": _Option(str, help="'example' prints the reference table"),
+    "variant": _Option(str, "plus", ("plus", "minus", "local_plus", "local_minus", "prds")),
+    "alpha": _Option(float, 0.05), "gamma": _Option(float, 0.01), "s": _Option(int, 100),
+    "lag": _Option(int), "delta": _Option(float, 3.0)}
 
-def cmd_boost_factor(args) -> int:
+
+def cmd_boost_factor(cfg: dict) -> int:
     from .boosting import (_RESIDUAL_MAX, GaussianLRModel, SolverError,
                            TruncationSpec, TruncationVariant, solve_boost_factor)
     from .oracles import expected_truncated_reference
 
-    defaults = {"preset": None, "variant": "plus", "alpha": 0.05,
-                "gamma": 0.01, "s": 100, "lag": None, "delta": 3.0}
-    cfg = _merge(args, defaults)
     if cfg["preset"] is not None and cfg["preset"] != "example":
         raise ValueError(f"unknown preset {cfg['preset']!r}")
     if cfg["preset"] == "example":
         cases = [(v, s, lag, 0.05, 0.01, 3.0) for v, s, lag in _BOOST_PRESET]
     else:
-        cases = [(str(cfg["variant"]), int(cfg["s"]),
-                  None if cfg["lag"] is None else int(cfg["lag"]),
-                  float(cfg["alpha"]), float(cfg["gamma"]), float(cfg["delta"]))]
+        cases = [tuple(cfg[key] for key in ("variant", "s", "lag", "alpha", "gamma", "delta"))]
     print(f"{'variant':<12} {'s':>5} {'lag':>4} {'b':>10} {'residual':>10}")
     status = 0
     for variant, s, lag, alpha, gamma, delta in cases:
@@ -233,14 +252,15 @@ def cmd_boost_factor(args) -> int:
     return status
 
 
-def cmd_adversarial(args) -> int:
+ADVERSARIAL_OPTIONS = {"k0": _Option(int, 1000), "alpha": _Option(float, 0.05),
+                       "m": _Option(int, 500), "seed": _Option(int, 0), "k": _Option(int)}
+
+
+def cmd_adversarial(cfg: dict) -> int:
     from .simulate import AdversarialConfig, run_adversarial
 
-    defaults = {"k0": 1000, "alpha": 0.05, "m": 500, "seed": 0, "k": None}
-    cfg = _merge(args, defaults)
-    acfg = AdversarialConfig(K0=int(cfg["k0"]), alpha=float(cfg["alpha"]),
-                             m=int(cfg["m"]), seed=int(cfg["seed"]),
-                             K=None if cfg["k"] is None else int(cfg["k"]))
+    acfg = AdversarialConfig(K0=cfg["k0"], alpha=cfg["alpha"], m=cfg["m"],
+                             seed=cfg["seed"], K=cfg["k"])
     res = run_adversarial(acfg)
     print(f"K0={acfg.K0} K={acfg.total} alpha={acfg.alpha} m={acfg.m}")
     print(f"mean_fdp={res['mean_fdp']:.6f} se={res['se']:.6f} "
@@ -249,7 +269,12 @@ def cmd_adversarial(args) -> int:
     return 0
 
 
-def cmd_oracle_check(args) -> int:
+ORACLE_CHECK_OPTIONS = {"k": _Option(int, 50), "instances": _Option(int, 1000),
+                        "alpha": _Option(float, 0.1), "lam": _Option(float, 0.5),
+                        "seed": _Option(int, 0)}
+
+
+def cmd_oracle_check(cfg: dict) -> int:
     import numpy as np
 
     from .core import WeightSequence
@@ -257,11 +282,8 @@ def cmd_oracle_check(args) -> int:
     from .oracles import offline_bh, offline_ebh, offline_storey_bh
     from .p_procedures import OnlineBH, OnlineStoreyBH
 
-    defaults = {"k": 50, "instances": 1000, "alpha": 0.1, "lam": 0.5, "seed": 0}
-    cfg = _merge(args, defaults)
-    K, inst = int(cfg["k"]), int(cfg["instances"])
-    alpha, lam = float(cfg["alpha"]), float(cfg["lam"])
-    rng = np.random.default_rng(int(cfg["seed"]))
+    K, inst, alpha, lam = cfg["k"], cfg["instances"], cfg["alpha"], cfg["lam"]
+    rng = np.random.default_rng(cfg["seed"])
     weights = WeightSequence.uniform_finite(K)
     mismatches = 0
     for _ in range(inst):
@@ -280,72 +302,41 @@ def cmd_oracle_check(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
+COMMANDS = {  # name: (run, help, options)
+    "simulate": (cmd_simulate, "run the Gaussian Monte-Carlo setup, emit CSV",
+                 SIMULATE_OPTIONS),
+    "stream": (cmd_stream, "evaluate scores from stdin, one per line", STREAM_OPTIONS),
+    "boost-factor": (cmd_boost_factor, "solve Gaussian boosting factors",
+                     BOOST_FACTOR_OPTIONS),
+    "adversarial": (cmd_adversarial, "sharpness construction for online BH",
+                    ADVERSARIAL_OPTIONS),
+    "oracle-check": (cmd_oracle_check, "online vs offline agreement check",
+                     ORACLE_CHECK_OPTIONS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcfdr",
         description="Online accept-to-reject-changes multiple testing toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="run the Gaussian Monte-Carlo setup, emit CSV")
-    p.add_argument("--config")
-    p.add_argument("--procedures", help="comma list or 'all'")
-    p.add_argument("--mu-a", dest="mu_a", type=float)
-    p.add_argument("--pi-a", dest="pi_a", help="value or start:stop:step")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--p-from-z", dest="p_from_z", action="store_const", const=True)
-    p.add_argument("--output", help="CSV path (stdout if omitted)")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("stream", help="evaluate scores from stdin, one per line")
-    p.add_argument("--config")
-    p.add_argument("--kind", choices=_KINDS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", help="uniform:K or geometric:q")
-    p.set_defaults(fn=cmd_stream)
-
-    p = sub.add_parser("boost-factor", help="solve Gaussian boosting factors")
-    p.add_argument("--config")
-    p.add_argument("--preset", help="'example' prints the reference table")
-    p.add_argument("--variant", choices=("plus", "minus", "local_plus",
-                                         "local_minus", "prds"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--s", type=int)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(fn=cmd_boost_factor)
-
-    p = sub.add_parser("adversarial", help="sharpness construction for online BH")
-    p.add_argument("--config")
-    p.add_argument("--k0", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.set_defaults(fn=cmd_adversarial)
-
-    p = sub.add_parser("oracle-check", help="online vs offline agreement check")
-    p.add_argument("--config")
-    p.add_argument("--k", type=int)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_oracle_check)
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config")
+        for key, opt in options.items():
+            flag = "--" + key.replace("_", "-")
+            if opt.type is bool:
+                p.add_argument(flag, action="store_const", const=True, help=opt.help)
+            else:
+                p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, options = COMMANDS[args.subcommand]
     try:
-        return args.fn(args)
+        return run(_merge(args, options))
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -144,7 +145,10 @@ class WeightSequence:
             self._gamma_max = 1.0 - q
             self._support = math.inf
         elif description == "uniform_finite":
-            K = int(params["K"])
+            try:  # any integer, numpy's too, but not 2.9 read as 2
+                K = operator.index(params["K"])
+            except TypeError:
+                raise InputError(f"uniform horizon K={params['K']!r} must be an integer") from None
             if K < 1:
                 raise InputError(f"uniform horizon K={K} must be >= 1")
             self._K = K

@@ -319,12 +319,13 @@ class _KStarStepUp(StreamProcedure):
         the search, and the pushes wait for the end of the call, as nothing
         could pop them before.  An infinite need changes nothing.
 
-        With deadlines, every deadline of the call is read once before the
-        first ``_place``, so that a bad one raises before any state changes."""
+        Only an engine with deadlines takes the step-by-step path (Storey's
+        ratio keys have their own ``_run``).  It reads every deadline of the
+        call once before the first ``_place``, so that a bad one raises
+        before any state changes."""
         if self.deadlines is not None:
             for t in range(t0, t0 + len(keys)):
                 self.deadlines.deadline(t)
-        if self._bound is not None or self.deadlines is not None:
             return super()._run(keys, t0)
         count = self._count
         horizon = count + len(keys)

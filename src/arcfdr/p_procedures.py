@@ -5,6 +5,7 @@ r-LOND, online BR, TOAD, online Storey-BH, and the LORD / SAFFRON baselines.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -34,7 +35,10 @@ class ShapeFunction:
         if variant == "identity":
             pass
         elif variant == "by":
-            K = int(params["K"])
+            try:  # any integer, numpy's too, but not 2.5 read as 2
+                K = operator.index(params["K"])
+            except TypeError:
+                raise ConfigError(f"BY horizon K={params['K']!r} must be an integer") from None
             if K < 1:
                 raise ConfigError(f"BY horizon K={K} must be >= 1")
             self._K = K

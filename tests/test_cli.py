@@ -3,12 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import arcfdr
 from arcfdr import oracles
-from arcfdr.cli import CSV_COLUMNS, _parse_grid, build_parser, main
+from arcfdr.cli import COMMANDS, CSV_COLUMNS, _merge, _parse_grid, build_parser, main
+from arcfdr.simulate import GaussianSetupConfig
 
 
 def run_cli(argv, stdin_text=None):
@@ -115,6 +117,12 @@ class TestStream:
         assert status == 2 and out == ""
         assert err == ("error: gamma must be uniform:K or geometric:q, "
                        "got 'harmonic:3'\n")
+
+    @pytest.mark.parametrize("spec", ["uniform:abc", "uniform:2.5", "geometric:x", "uniform"])
+    def test_bad_gamma_parameter(self, spec):
+        status, out, err = run_cli(["stream", "--gamma", spec], stdin_text="")
+        assert status == 2 and out == ""
+        assert err == f"error: gamma must be uniform:K or geometric:q, got {spec!r}\n"
 
 
 class TestBoostFactor:
@@ -284,6 +292,67 @@ class TestConfigFile:
         cfg.write_text("alpha = 0.3\ngamma = uniform:3\nkind = p\n")
         status, out, _ = run_cli(["stream", "--config", str(cfg)], stdin_text="0.05\n")
         assert status == 0 and out == "t=1 k*=1 rejected={1} new={1}\n"
+
+
+def subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_flags_are_the_config_keys(self, name):
+        dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
+        assert dests == set(COMMANDS[name][2])
+
+    def test_simulate_options_are_the_setup_fields(self):
+        options = COMMANDS["simulate"][2]
+        assert set(options) - {"procedures", "output"} == {
+            f.name for f in fields(GaussianSetupConfig)}
+        for f in fields(GaussianSetupConfig):
+            if f.name != "pi_a":
+                assert options[f.name].default == f.default
+                assert options[f.name].type is type(f.default)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_defaults_in_a_file_merge_as_no_file(self, name, tmp_path):
+        options = COMMANDS[name][2]
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("".join(f"{key.replace('_', '-')} = {opt.default}\n"
+                               for key, opt in options.items() if opt.default is not None))
+        parser = build_parser()
+        bare = _merge(parser.parse_args([name]), options)
+        from_file = _merge(parser.parse_args([name, "--config", str(cfg)]), options)
+        assert from_file == bare
+        assert [type(v) for v in from_file.values()] == [type(v) for v in bare.values()]
+
+    @pytest.mark.parametrize("argv, text, key, typename", [
+        (["boost-factor"], "lag = abc\n", "lag", "int"),
+        (["adversarial", "--k0", "5"], "k = 1e3\n", "k", "int"),
+        (["oracle-check"], "alpha = tenth\n", "alpha", "float"),
+    ])
+    def test_bad_value_without_default_names_key_and_line(self, tmp_path, argv, text,
+                                                          key, typename):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        status, out, err = run_cli(argv + ["--config", str(cfg)])
+        value = text.split("=")[1].strip()
+        assert status == 2 and out == ""
+        assert err == f"error: {cfg}:1: config key {key!r} expects {typename}, got {value!r}\n"
+
+    def test_variant_keeps_to_the_flag_choices(self, tmp_path):
+        cfg = tmp_path / "boost.cfg"
+        cfg.write_text("s = 10\nvariant = foo\n")
+        status, out, err = run_cli(["boost-factor", "--config", str(cfg)])
+        assert status == 2 and out == ""
+        assert err == (f"error: {cfg}:2: config key 'variant' must be plus or minus or "
+                       "local_plus or local_minus or prds, got 'foo'\n")
+
+    def test_typed_file_values_reach_the_command(self, tmp_path):
+        cfg = tmp_path / "boost.cfg"
+        cfg.write_text("variant = minus\ns = 10\ndelta = 3\n")
+        status, out, _ = run_cli(["boost-factor", "--config", str(cfg)])
+        assert status == 0
+        assert abs(float(out.strip().splitlines()[1].split()[3]) - 3.071) <= 0.01
 
 
 class TestOracleCheck:

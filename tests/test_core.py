@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ class TestWeightSequence:
     def test_bad_q(self):
         with pytest.raises(InputError):
             WeightSequence.geometric(1.0)
+
+    @pytest.mark.parametrize("K", [2.9, 3.0, np.float64(2.0), "3"])
+    def test_uniform_refuses_a_non_integer_horizon(self, K):
+        # int() would read 2.9 as 2 without a word
+        with pytest.raises(InputError, match=re.escape(f"K={K!r} must be an integer")):
+            WeightSequence.uniform_finite(K)
+
+    def test_uniform_takes_a_numpy_integer(self):
+        w = WeightSequence.uniform_finite(np.int64(4))
+        assert w.support_size == 4 and type(w.support_size) is int
+        assert w.gamma(4) == 0.25 and w.gamma(5) == 0.0
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.integers(1, 200))
     def test_geometric_tail_matches_sum(self, q, t):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestShapeFunction:
         assert b.beta(1) == 0.5
         assert b.beta(3) == 0.5
         assert b.beta(4) == 2.5
+
+    @pytest.mark.parametrize("K", [2.5, 4.0, np.float64(3.0)])
+    def test_by_refuses_a_non_integer_horizon(self, K):
+        # int() would read 2.5 as 2 without a word
+        with pytest.raises(ConfigError, match=re.escape(f"K={K!r} must be an integer")):
+            ShapeFunction.by(K)
+
+    def test_by_takes_a_numpy_integer(self):
+        b = ShapeFunction.by(np.int64(3))
+        assert b.beta(5) == ShapeFunction.by(3).beta(5) == 3 / harmonic_number(3)
 
     def test_custom_mass_over_one(self):
         with pytest.raises(ConfigError):
