@@ -4,7 +4,8 @@ factors, adversarial sharpness runs, and oracle cross-checks.
 Each subcommand declares its options once, in a table of config key, type,
 default, choices and help.  Every flag is also a config key, written with
 dashes or underscores (``--batch-size`` is ``batch-size`` or ``batch_size``),
-and a config-file value is read with the flag's type and choices.
+and a config-file value is read with the flag's type and choices; a key
+appears once in a file.
 `simulate`'s flags other than --procedures, --pi-a (a grid) and --output
 are the fields of ``GaussianSetupConfig``, with its defaults.
 
@@ -35,15 +36,19 @@ _FLAGS = {"true": True, "1": True, "false": False, "0": False}
 
 class _Option(NamedTuple):
     """A subcommand option; its flag is its config key with dashes.  A bool
-    option is a flag without a value."""
+    option is a flag without a value.  ``check`` raises ValueError for a
+    value its command will refuse (pi_a's grid), so that a file value is
+    refused with its line."""
     type: type
     default: object = None
     choices: tuple | None = None
     help: str | None = None
+    check: object = None
 
 
 def _read_config(path: str) -> dict:
-    """key -> (value, line number) of a flat key=value file."""
+    """key -> (value, line number) of a flat key=value file, in which a key,
+    with dashes or underscores, appears once."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -53,7 +58,11 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = (value.strip(), lineno)
+            key = key.strip().replace("-", "_")
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} "
+                                 f"repeats line {cfg[key][1]}")
+            cfg[key] = (value.strip(), lineno)
     return cfg
 
 
@@ -82,6 +91,11 @@ def _merge(args: argparse.Namespace, options: dict) -> dict:
             if opt.choices and value not in opt.choices:
                 raise ValueError(f"{where} must be {' or '.join(opt.choices)}, "
                                  f"got {value!r}")
+            if opt.check is not None:
+                try:
+                    opt.check(value)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
             merged[key] = value
     for key in options:
         value = getattr(args, key)
@@ -92,12 +106,18 @@ def _merge(args: argparse.Namespace, options: dict) -> dict:
 
 def _parse_grid(spec: str) -> list:
     """A single float or start:stop:step (inclusive stop, within rounding)."""
+    def number(part):
+        try:
+            return float(part)
+        except ValueError:
+            raise ValueError(f"grid {spec!r}: {part!r} is not a number") from None
+
     if ":" not in spec:
-        return [float(spec)]
+        return [number(spec)]
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be value or start:stop:step, got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = map(number, parts)
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"grid {spec!r}: start, stop and step must be finite")
     if step <= 0:
@@ -146,7 +166,7 @@ def _write_csv(path: str | None, rows: list):
 SIMULATE_OPTIONS = {
     "procedures": _Option(str, "oe-bh,e-lond", help="comma list or 'all'"),
     **{f.name: _Option(type(f.default), f.default) for f in fields(GaussianSetupConfig)},
-    "pi_a": _Option(str, "0.1", help="value or start:stop:step"),
+    "pi_a": _Option(str, "0.1", help="value or start:stop:step", check=_parse_grid),
     "output": _Option(str, help="CSV path (stdout if omitted)"),
 }
 

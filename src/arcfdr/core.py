@@ -374,7 +374,8 @@ def is_self_consistent(candidate, scores, weights: WeightSequence, alpha: float,
                        kind: ScoreKind | None = None) -> bool:
     """Whether every index in the candidate set clears the threshold implied
     by the set's own size: E_t >= 1/(alpha * gamma_t * |R|) for e-values,
-    P_t <= alpha * gamma_t * |R| for p-values.  The empty set passes.
+    P_t <= alpha * gamma_t * |R| for p-values, that is, whether its need is
+    at most |R|.  The empty set passes.
 
     Scores may be Score instances (kind inferred) or raw floats with an
     explicit kind.
@@ -396,18 +397,9 @@ def is_self_consistent(candidate, scores, weights: WeightSequence, alpha: float,
     n = len(values)
     if candidate[0] < 1 or candidate[-1] > n:
         raise InputError(f"candidate index out of range 1..{n}")
-    r = len(candidate)
-    for t in candidate:
-        g = weights.gamma(t)
-        if kind is ScoreKind.E_VALUE:
-            if g <= 0.0:
-                return False
-            if not values[t - 1] >= 1.0 / (alpha * g * r):
-                return False
-        else:
-            if g <= 0.0:
-                return False
-            if not values[t - 1] <= alpha * g * r:
-                return False
-    return True
+    # needs() compares with the same products alpha * gamma_t * |R|, and a
+    # need is at most |R| iff the score clears the threshold at |R|
+    gammas = [weights.gamma(t) for t in candidate]
+    need = needs([values[t - 1] for t in candidate], kind, alpha, gammas)
+    return bool((need <= len(candidate)).all())
 

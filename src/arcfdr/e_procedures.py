@@ -160,7 +160,7 @@ class _KStarStepUp(StreamProcedure):
 
     Each hypothesis j has an integer "need": the smallest candidate set size k
     at which its score clears the threshold, and a decision deadline d_j
-    (``deadlines``; None means d_j = inf).  At time t a hypothesis is counted
+    (``deadlines``; d_j = inf without one).  At time t a hypothesis is counted
     if it is rejected, or if it is not rejected and still active (d_j >= t);
     count(k) = #{counted j : need_j <= k} and k*_t = max{k : count(k) >= k}.
     A hypothesis past its deadline and not rejected is a frozen acceptance: it
@@ -182,18 +182,19 @@ class _KStarStepUp(StreamProcedure):
     and stops the next descent there.  Storey's keys qualify at a bound that
     moves with pi0_hat, so its search always descends to k*.
 
-    The search reads count(k) only for k <= N, so a need above N cannot
-    qualify yet.  It waits in a min-heap of (need, j) and is drained into the
-    pending list once N reaches it; the drain runs before every search
-    against N itself, waiting entries included.  Pending hypotheses (drained
-    or stored on arrival, not rejected) are kept sorted by need, equal needs
-    by index, and popped once need <= k*.  A heap of finite deadlines takes
-    expiring hypotheses out of N: out of the pending list when they are
-    there, and by a marker that the drain skips when they are still
-    waiting.  N never exceeds the number of positive weights, so an integer
-    need above that cap never qualifies and is not stored at all; it counts
-    in N until its deadline.  This assumes, as every subclass here does,
-    that a need is finite only when gamma_j > 0.
+    The search reads count(k) only for k <= N, and N grows by at most one
+    per step and never exceeds the number of positive weights (the support).
+    So hypothesis t can qualify before its deadline only if need_t <= min(
+    support, N_t + d_t - t), its reach; a need beyond reach is not stored at
+    all and only counts in N until its deadline.  This assumes, as every
+    subclass here does, that a need is finite only when gamma_t > 0.  A need
+    within reach but above N waits in a min-heap of (need, j, d_j) and is
+    drained into the pending list once N reaches it; the drain runs before
+    every search against N itself, waiting entries included, and drops an
+    entry past its deadline.  Pending hypotheses (drained or stored on
+    arrival, not rejected) are kept sorted by need, equal needs by index,
+    and popped once need <= k*.  A heap of finite deadlines takes expiring
+    hypotheses out of N, and out of the pending list when they are there.
 
     A step that stores no need within reach of N thus costs O(log n): heap
     operations and one binary search at k = N.  Each need enters the pending
@@ -203,7 +204,8 @@ class _KStarStepUp(StreamProcedure):
     A subclass supplies ``_need``, which is called once per step before
     ``_place``, and ``_needs``, the keys of a whole ``run()`` at once.  A
     subclass whose keys are not integer needs (Storey's ratios) also sets
-    ``_bound``; its keys are not capped.
+    ``_bound``; its keys are not integer sizes, so its cap is inf and, as
+    it has no deadlines, every key is within reach.
     """
 
     # None: a key qualifies at set size k when it is at most k.  Otherwise a
@@ -219,8 +221,7 @@ class _KStarStepUp(StreamProcedure):
         self._cap = weights.support_size if self._bound is None else math.inf
         self._pending_needs: list = []  # sorted needs of pending hypotheses
         self._pending: list[int] = []   # their indices, in the same order
-        self._waiting: list = []        # heap of (need_j, j): need above N when pushed
-        self._expired: set = set()      # waiting j past their deadline
+        self._waiting: list = []        # heap of (need_j, j, d_j): need above N when pushed
         self._expiry: list = []         # heap of (d_j, j, need_j), j not rejected on arrival
 
     def _need(self, value: float, t: int) -> float:
@@ -228,7 +229,7 @@ class _KStarStepUp(StreamProcedure):
 
     def _expire(self, t: int):
         """Take the unrejected hypotheses whose deadline is before t out of
-        the count, and out of the pending list or the waiting heap."""
+        the count, and out of the pending list if they are there."""
         expiry = self._expiry
         needs, pending = self._pending_needs, self._pending
         while expiry and expiry[0][0] < t:
@@ -236,27 +237,23 @@ class _KStarStepUp(StreamProcedure):
             if j in self.rejection_times:
                 continue
             self._count -= 1
-            if need > self._cap:  # never stored
-                continue
             lo = bisect_left(needs, need)
             hi = bisect_right(needs, need, lo)
             pos = bisect_left(pending, j, lo, hi)
             if pos < hi and pending[pos] == j:
                 del needs[pos]
                 del pending[pos]
-            else:
-                self._expired.add(j)  # still waiting: the drain skips it
 
-    def _drain(self, top):
-        """Move waiting needs at most ``top`` into the pending list.  The heap
-        pops equal needs by index, and every waiting j is older than any list
-        entry of its need, so the list stays ordered by index within a need."""
-        waiting, expired = self._waiting, self._expired
+    def _drain(self, top, t: int):
+        """Move waiting needs at most ``top`` into the pending list, dropping
+        those whose deadline is before t.  The heap pops equal needs by
+        index, and every waiting j is older than any list entry of its need,
+        so the list stays ordered by index within a need."""
+        waiting = self._waiting
         needs, pending = self._pending_needs, self._pending
         while waiting and waiting[0][0] <= top:
-            need, j = heappop(waiting)
-            if j in expired:
-                expired.remove(j)
+            need, j, deadline = heappop(waiting)
+            if deadline < t:
                 continue
             if need <= self._clear:  # the heap pops the smallest first
                 self._clear = need - 1
@@ -265,7 +262,7 @@ class _KStarStepUp(StreamProcedure):
             pending.insert(pos, j)
 
     def _place(self, need, t: int) -> list:
-        deadline = None if self.deadlines is None else self.deadlines.deadline(t)
+        deadline = math.inf if self.deadlines is None else self.deadlines.deadline(t)
         if self._expiry:
             self._expire(t)
         k_star = len(self.rejection_times)  # k*_{t-1}
@@ -278,14 +275,15 @@ class _KStarStepUp(StreamProcedure):
                 self._clear = k_star
                 newly = [t]
             else:
-                if need <= self._cap:
-                    heappush(self._waiting, (need, t))
-                if deadline is not None and deadline != math.inf:
+                # its reach, min(support, N + d_t - t)
+                if need <= self._cap and need <= self._count + deadline - t:
+                    heappush(self._waiting, (need, t, deadline))
+                if deadline != math.inf:
                     heappush(self._expiry, (deadline, t, need))
         k = self._count
         b = k if bound_of is None else bound_of(k)
         if self._waiting and self._waiting[0][0] <= b:
-            self._drain(b)
+            self._drain(b, t)
         needs = self._pending_needs
         rejected = k_star + len(newly)  # each qualifies at every k searched
         # every k in (k*, clear] is known not to satisfy count(k) >= k
@@ -339,7 +337,7 @@ class _KStarStepUp(StreamProcedure):
                 if not waiting or waiting[0][0] > count + 1:
                     count += 1
                     if key <= cap:
-                        far.append((key, t))
+                        far.append((key, t, math.inf))
                     continue
             self._count = self._clear = count
             new = self._place(key, t)

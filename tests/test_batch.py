@@ -304,7 +304,7 @@ def test_a_far_arrival_drains_a_need_at_the_new_count():
     for x in first + far:
         stepped.step(x)
     batch.run(first)
-    assert batch._waiting == [(2, 1)]
+    assert batch._waiting == [(2, 1, math.inf)]
     batch.run(far)
     assert batch._pending_needs == [2] and batch._waiting == []
     assert state(batch) == state(stepped)

@@ -337,6 +337,17 @@ class TestSolverProperties:
             solve_boost_factors(GaussianLRModel(3.0), variant, ALPHA, [GAMMA], 100,
                                 lag_kstar=2)
 
+    def test_bad_arguments(self):
+        model = GaussianLRModel(3.0)
+        with pytest.raises(ConfigError, match="needs a cutoff s >= 1"):
+            solve_boost_factors(model, TruncationVariant.MINUS, ALPHA, [GAMMA], s=0)
+        with pytest.raises(ConfigError, match="local_plus needs s >= lag_kstar"):
+            solve_boost_factors(model, TruncationVariant.LOCAL_PLUS, ALPHA, [GAMMA],
+                                s=10, lag_kstar=10)
+        with pytest.raises(ConfigError, match="b_max=0.5 is below 1"):
+            solve_boost_factors(model, TruncationVariant.MINUS, ALPHA, [GAMMA], s=10,
+                                b_max=0.5)
+
     def test_no_root_below_b_max(self):
         # a narrow null leaves the minus cutoff out of reach for any b <= 10
         model = GaussianLRModel(0.5)
@@ -645,3 +656,41 @@ class TestTransforms:
         with pytest.raises(ConfigError):
             check_transform_condition(NonincreasingTransform.zero(), 0.1, 0.1,
                                       mode="nope")
+
+    def test_bad_arguments(self):
+        with pytest.raises(ConfigError, match="needs alpha \\* gamma > 0"):
+            NonincreasingTransform.from_shape_function(ShapeFunction.identity(), 0.1, 0.0)
+        psi = NonincreasingTransform.reciprocal()
+        with pytest.raises(InputError, match="u=1.5 outside"):
+            psi.psi(1.5)
+        with pytest.raises(InputError, match="x=-1.0 is negative"):
+            psi.psi_inverse(-1.0)
+        with pytest.raises(ConfigError, match="alpha=0.0 outside"):
+            check_transform_condition(psi, 0.0, GAMMA)
+        with pytest.raises(ConfigError, match="gamma=0.0 must be positive"):
+            check_transform_condition(psi, ALPHA, 0.0)
+        with pytest.raises(ConfigError, match="toad mode needs a deadline"):
+            check_transform_condition(psi, ALPHA, GAMMA, mode="toad")
+
+    def test_psi_from_an_inverse_at_the_ends(self):
+        # psi(0) = inf; an inverse that is 1 everywhere has psi = inf on [0, 1]
+        inv_only = NonincreasingTransform(psi_inverse=lambda x: 1.0)
+        assert inv_only.psi(0.0) == math.inf and inv_only.psi(0.5) == math.inf
+        shape = NonincreasingTransform.from_shape_function(ShapeFunction.by(3), 0.1, 0.2)
+        assert shape.psi_inverse(0.0) == 1.0
+
+    def test_prds_condition_fails(self):
+        # psi_inverse = 1 puts x_1 * 1 = 1 / (alpha gamma) > 1 into the sup
+        res = check_transform_condition(
+            NonincreasingTransform(psi_inverse=lambda x: 1.0), ALPHA, GAMMA, mode="prds")
+        assert res.passed is False and not res
+        assert res.value == pytest.approx(1.0 / AG)
+
+    def test_indeterminate_within_k_max(self):
+        # sup and series stay at 0, but the tail bound x_{k_max + 1} is far
+        # above 1 at alpha gamma = 5e-4 and k_max = 10
+        zero = NonincreasingTransform.zero()
+        for mode in ("prds", "arbitrary"):
+            res = check_transform_condition(zero, ALPHA, GAMMA, mode=mode, k_max=10)
+            assert res.passed is None and not res, mode
+            assert res.value == 0.0 and res.tail_bound > 1.0

@@ -65,6 +65,20 @@ class TestParseGrid:
         assert status == 2 and out == ""
         assert err == "error: grid must be value or start:stop:step, got '0.1:0.9'\n"
 
+    @pytest.mark.parametrize("spec, part", [("abc", "abc"), ("0.1:x:0.1", "x")])
+    def test_non_numeric_grid_names_the_grid(self, spec, part):
+        status, out, err = run_cli(["simulate", "--pi-a", spec, "--n", "20", "--m", "2"])
+        assert status == 2 and out == ""
+        assert err == f"error: grid {spec!r}: {part!r} is not a number\n"
+
+    def test_non_numeric_grid_in_a_file_names_its_line(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 20\npi_a = abc\n")
+        status, out, err = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 2 and out == ""
+        assert err == (f"error: {cfg}:2: config key 'pi_a': "
+                       "grid 'abc': 'abc' is not a number\n")
+
 
 class TestStream:
     def test_arc_demo(self):
@@ -204,6 +218,14 @@ class TestSimulateCsv:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    def test_output_onto_a_directory_exits_2_without_leftovers(self, tmp_path):
+        # the rename onto the directory fails after the temp file is written
+        target = tmp_path / "out"
+        target.mkdir()
+        status, out, err = run_cli(self.ARGS + ["--output", str(target)])
+        assert status == 2 and out == "" and err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["out"] and os.listdir(target) == []
+
     def test_pi_grid(self):
         status, out, _ = run_cli(["simulate", "--procedures", "lond", "--n",
                                   "100", "--m", "2", "--batch-size", "20",
@@ -248,6 +270,15 @@ class TestConfigFile:
         status, out, err = run_cli(["simulate", "--config", str(cfg)])
         assert status == 2 and out == ""
         assert err == f"error: {cfg}:1: config key 'bogus' is unknown\n"
+
+    @pytest.mark.parametrize("first, again", [("n", "n"), ("batch-size", "batch_size")])
+    def test_repeated_key_rejected(self, tmp_path, first, again):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{first}=20\nm=2\n{again}=40\n")
+        status, out, err = run_cli(["simulate", "--config", str(cfg)])
+        assert status == 2 and out == ""
+        key = again.replace("-", "_")
+        assert err == f"error: {cfg}:3: config key {key!r} repeats line 1\n"
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -135,6 +135,23 @@ class TestWeightSequence:
         assert w.support_size == 4 and type(w.support_size) is int
         assert w.gamma(4) == 0.25 and w.gamma(5) == 0.0
 
+    def test_bad_arguments(self):
+        with pytest.raises(InputError, match="K=0 must be >= 1"):
+            WeightSequence.uniform_finite(0)
+        with pytest.raises(ConfigError, match="unknown weight description 'harmonic'"):
+            WeightSequence("harmonic")
+        w = WeightSequence.geometric(0.5)
+        with pytest.raises(InputError, match="t=0 must be >= 1"):
+            w.gamma(0)
+        with pytest.raises(InputError, match="t=-1 must be >= 0"):
+            w.tail_mass(-1)
+
+    def test_repr_names_the_construction(self):
+        assert repr(WeightSequence.geometric(0.5)) == "WeightSequence.geometric(q=0.5)"
+        assert repr(WeightSequence.uniform_finite(3)) == "WeightSequence.uniform_finite(K=3)"
+        assert (repr(WeightSequence.explicit([0.5, 0.25]))
+                == "WeightSequence.explicit(weights=[0.5, 0.25])")
+
     @given(st.floats(min_value=0.01, max_value=0.99), st.integers(1, 200))
     def test_geometric_tail_matches_sum(self, q, t):
         w = WeightSequence.geometric(q)
@@ -238,6 +255,13 @@ class TestRejectionSet:
         with pytest.raises(InputError):
             RejectionSet((0,), 4)
 
+    def test_equality_and_hash(self):
+        r = RejectionSet((1, 3), 4)
+        assert r != (1, 3) and r != {1, 3}
+        assert r == RejectionSet((1, 3), 4) and r != RejectionSet((1, 3), 5)
+        assert hash(r) == hash(RejectionSet((1, 3), 4))
+        assert len({r, RejectionSet((1, 3), 4), RejectionSet((1,), 4)}) == 2
+
     @pytest.mark.parametrize("cls", [OnlineBH, Lond, Lord])
     def test_procedure_set_equals_tuple_set(self, cls):
         # OnlineBH rejects 2 after 3 at t = 3: its record is not sorted
@@ -304,6 +328,67 @@ class TestSelfConsistency:
         with pytest.raises(ConfigError):
             is_self_consistent([], [], WeightSequence.uniform_finite(1), 0.0,
                                kind=ScoreKind.P_VALUE)
+
+    def test_score_kinds(self):
+        w = WeightSequence.uniform_finite(2)
+        mixed = [Score(0.1, ScoreKind.P_VALUE), Score(2.0, ScoreKind.E_VALUE)]
+        with pytest.raises(InputError, match="mixed score kinds"):
+            is_self_consistent({1}, mixed, w, 0.1)
+        with pytest.raises(InputError, match="mixed score kinds"):
+            is_self_consistent({1}, mixed[:1], w, 0.1, kind=ScoreKind.E_VALUE)
+        with pytest.raises(InputError, match="explicit kind"):
+            is_self_consistent({1}, [0.1, 0.2], w, 0.1)
+
+    @pytest.mark.parametrize("kind, scores", [(ScoreKind.P_VALUE, [0.0, 0.0]),
+                                              (ScoreKind.E_VALUE, [math.inf, math.inf])])
+    def test_zero_weight_member_fails(self, kind, scores):
+        # the most extreme score does not clear a threshold at gamma = 0
+        w = WeightSequence.explicit([0.5, 0.0])
+        assert is_self_consistent({1}, scores, w, 0.1, kind=kind)
+        assert not is_self_consistent({1, 2}, scores, w, 0.1, kind=kind)
+
+    def test_underflowing_alpha_gamma(self):
+        # alpha * gamma_2 underflows to 0; e = inf still clears it, as in
+        # OnlineEBH, which rejects both
+        w = WeightSequence.explicit([0.5, 5e-324])
+        e = [100.0, math.inf]
+        proc = OnlineEBH(w, 0.05).run(e)
+        assert proc.rejection_set().indices == (1, 2)
+        assert is_self_consistent((1, 2), e, w, 0.05, kind=ScoreKind.E_VALUE)
+        assert not is_self_consistent((1, 2), [100.0, 1e300], w, 0.05,
+                                      kind=ScoreKind.E_VALUE)
+        assert is_self_consistent((1, 2), [0.0, 0.0], w, 0.05, kind=ScoreKind.P_VALUE)
+        assert not is_self_consistent((1, 2), [0.0, 1e-300], w, 0.05,
+                                      kind=ScoreKind.P_VALUE)
+
+    @given(st.sampled_from(list(ScoreKind)), st.floats(0.01, 1.0),
+           st.lists(st.tuples(st.sampled_from([0.0, 5e-324, 1e-310, 1e-3, 0.1]),
+                              st.floats(0.0, 1.0), st.floats(1.0, 1e6), st.booleans()),
+                    min_size=1, max_size=8),
+           st.data())
+    @settings(max_examples=300)
+    def test_matches_the_threshold_definition(self, kind, alpha, hyps, data):
+        # hypothesis i: weight, p-value, e-value, and whether its score is
+        # the extreme one (p = 0, e = inf)
+        n = len(hyps)
+        w = WeightSequence.explicit([g for g, _, _, _ in hyps])
+        if kind is ScoreKind.P_VALUE:
+            scores = [0.0 if extreme else p for _, p, _, extreme in hyps]
+        else:
+            scores = [math.inf if extreme else e for _, _, e, extreme in hyps]
+        candidate = data.draw(st.sets(st.integers(1, n)))
+        r = len(candidate)
+
+        def clears(t):
+            level = alpha * w.gamma(t) * r
+            if w.gamma(t) <= 0.0:
+                return False
+            if kind is ScoreKind.P_VALUE:
+                return scores[t - 1] <= level
+            return scores[t - 1] >= (math.inf if level == 0.0 else 1.0 / level)
+
+        assert is_self_consistent(candidate, scores, w, alpha, kind=kind) == all(
+            clears(t) for t in candidate)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
            st.floats(min_value=0.05, max_value=0.5))

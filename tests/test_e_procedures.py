@@ -49,6 +49,11 @@ class TestOnlineEBH:
         proc.run([])
         assert proc.newly_rejected == ()
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, math.nan])
+    def test_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ConfigError, match="outside \\(0, 1\\]"):
+            OnlineEBH(WeightSequence.geometric(0.9), alpha)
+
     def test_kind_enforced(self):
         proc = OnlineEBH(WeightSequence.geometric(0.9), 0.1)
         with pytest.raises(InputError):

@@ -11,10 +11,12 @@ k alpha gamma, and the extreme scores e = inf / 0 and p = 0 / 1.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from arcfdr.core import RejectionSet, WeightSequence, minimal_k_evalue
+from arcfdr.core import RejectionSet, ScoreKind, WeightSequence, minimal_k_evalue
 from arcfdr.e_procedures import DeadlineSchedule, ELond, EToad, OnlineEBH
 from arcfdr.oracles import step_up_reference
 from arcfdr.p_procedures import (
@@ -227,26 +229,47 @@ def test_waiting_needs_drain_once_the_count_reaches_them():
     e = e_with_need(3, alpha, g)
     proc.step(e)
     proc.step(e)
-    assert sorted(proc._waiting) == [(3, 1), (3, 2)]
+    assert sorted(proc._waiting) == [(3, 1, math.inf), (3, 2, math.inf)]
     assert proc._pending_needs == [] and proc.k_star == 0
     assert proc.step(e).indices == (1, 2, 3)
     assert proc._waiting == [] and proc._count == 3
 
 
 def test_waiting_need_expires_before_it_is_drained():
-    # H_1 (need 2, d_1 = 1) waits at t = 1 and expires at t = 2, leaving the
-    # count; its stale heap entry is skipped when H_2 and H_3 drain at t = 3
+    # H_1 (need 2, d_1 = 2) is within reach when pushed, but H_2 (e = 0) has
+    # no need and N stalls at 1, so H_1 expires at t = 3 while still
+    # waiting; its entry is dropped when H_3 and H_4 drain at t = 4
     alpha, g = 0.2, 0.25
     e = e_with_need(2, alpha, g)
     proc = EToad(WeightSequence.explicit([g] * 4), alpha,
-                 DeadlineSchedule.explicit([1, math.inf, math.inf]))
+                 DeadlineSchedule.explicit([2, math.inf, math.inf, math.inf]))
     proc.step(e)
-    assert proc._count == 1 and proc._waiting == [(2, 1)]
+    assert proc._count == 1 and proc._waiting == [(2, 1, 2)]
+    proc.step(0.0)
+    assert proc._count == 1 and proc._waiting == [(2, 1, 2)]
     proc.step(e)
-    assert proc._count == 1 and proc._expired == {1}
-    assert proc.step(e).indices == (2, 3)
-    assert proc._count == 2 and proc._expired == set() and proc._waiting == []
+    assert proc._count == 1 and sorted(proc._waiting) == [(2, 1, 2), (2, 3, math.inf)]
+    assert proc.step(e).indices == (3, 4)
+    assert proc._count == 2 and proc._waiting == [] and proc._pending == []
     assert 1 not in proc.rejection_times
+
+
+def test_a_need_at_its_reach_is_stored_and_rejected_at_its_deadline():
+    # H_1's need of 3 is exactly N_1 + d_1 - 1 = 1 + 3 - 1: it waits, and
+    # N reaches 3 at t = d_1, where H_1..H_3 qualify together.  A need of 4
+    # at the same deadline is beyond reach and is not stored
+    alpha, g = 0.2, 0.125
+    e = e_with_need(3, alpha, g)
+    w = WeightSequence.explicit([g] * 4)
+    proc = EToad(w, alpha, DeadlineSchedule.explicit([3, math.inf, math.inf]))
+    proc.step(e)
+    assert proc._waiting == [(3, 1, 3)]
+    proc.step(e)
+    assert proc.step(e).indices == (1, 2, 3)
+    assert proc.rejection_times == {1: 3, 2: 3, 3: 3}
+    beyond = EToad(w, alpha, DeadlineSchedule.explicit([3, math.inf, math.inf]))
+    beyond.step(e_with_need(4, alpha, g))
+    assert beyond._count == 1 and beyond._waiting == []
 
 
 def test_rejection_on_arrival_reopens_the_search():
@@ -296,8 +319,41 @@ def test_sorted_lists_hold_only_needs_within_the_count():
         N = proc._count
         assert proc.k_star <= N
         assert all(need <= N for need in proc._pending_needs)
-        assert all(need > N for need, _ in proc._waiting)
+        assert all(need > N for need, _, _ in proc._waiting)
         if proc.t < n:
             assert proc._waiting
     # most e-values need more than K = n rejections and were never stored
     assert proc.k_star > 0 and proc.k_star + len(proc._pending_needs) < N // 10
+
+
+def peak_waiting(cls):
+    """cls, whose instances record the largest waiting heap after any step."""
+    class Probe(cls):
+        peak = 0
+
+        def _place(self, need, t):
+            new = super()._place(need, t)
+            self.peak = max(self.peak, len(self._waiting))
+            return new
+    return Probe
+
+
+@pytest.mark.parametrize("make", [
+    lambda n, dl: peak_waiting(EToad)(WeightSequence.geometric(0.9999), 0.05, dl),
+    lambda n, dl: peak_waiting(Toad)(WeightSequence.uniform_finite(n), 0.05, dl,
+                                     ShapeFunction.identity()),
+], ids=["etoad-geometric", "toad-uniform"])
+def test_a_windowed_stream_keeps_a_short_waiting_heap(make):
+    # d_t = t + 50: a need beyond N_t + 50 can never qualify and is not
+    # stored, and an expired waiting entry is dropped at the drain, so the
+    # heap does not grow with the stream (it held one entry per hypothesis
+    # when only the support capped the needs)
+    n = 20000
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(n) + 3.0 * (rng.random(n) < 0.05)
+    proc = make(n, DeadlineSchedule(lambda t: t + 50))
+    scores = np.exp(3.0 * z - 4.5) if proc.kind is ScoreKind.E_VALUE else ndtr(-z)
+    for chunk in np.split(scores, n // 500):
+        proc.run(chunk)
+    assert proc.t == n and proc.k_star > 0
+    assert proc.peak <= 150

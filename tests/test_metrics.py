@@ -9,6 +9,7 @@ from arcfdr.metrics import (
     cell_estimates,
     fdp,
     power,
+    rejection_counts,
 )
 from arcfdr.oracles import cell_estimates_reference
 
@@ -62,6 +63,17 @@ class TestNullMask:
             fdp([1, 4], truth)
         with pytest.raises(InputError, match="index 4 not covered"):
             power([1, 4], truth)
+
+
+class TestRejectionCounts:
+    def test_counts_by_time(self):
+        assert rejection_counts({2: 1, 1: 3, 4: 3}, 4).tolist() == [1, 1, 3, 3]
+        assert rejection_counts({}, 2).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("times, bad", [({1: 1, 2: 5}, 5), ({1: 0}, 0)])
+    def test_time_outside_the_stream(self, times, bad):
+        with pytest.raises(InputError, match=f"rejection time {bad} outside 1..4"):
+            rejection_counts(times, 4)
 
 
 class TestFdpPower:

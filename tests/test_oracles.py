@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from arcfdr.core import ConfigError, InputError, ScoreKind, WeightSequence
 from arcfdr.e_procedures import OnlineEBH
 from arcfdr.metrics import GroundTruth, fdp
+from arcfdr.boosting import GaussianLRModel, TruncationSpec, TruncationVariant
 from arcfdr.oracles import (
+    boosted_reference,
+    expected_truncated_reference,
     max_self_consistent_fdp,
     offline_bh,
     offline_ebh,
@@ -106,6 +109,39 @@ class TestSimesBHEquivalence:
         # equivalence is about continuous instances, where ties have measure 0
         assume(abs(simes - alpha) > 1e-9)
         assert (simes <= alpha) == (len(bh) >= 1)
+
+
+class TestInputErrors:
+    def test_weighted_procedures(self):
+        with pytest.raises(InputError, match="weights are all zero"):
+            weighted_bh([0.1, 0.2], [0.0, 0.0], 0.1)
+        with pytest.raises(InputError, match="lengths differ"):
+            weighted_bh([0.1, 0.2], [0.5], 0.1)
+        with pytest.raises(InputError, match="lengths differ"):
+            weighted_simes([0.1, 0.2], [0.5])
+        with pytest.raises(InputError, match="lengths differ"):
+            max_self_consistent_fdp([1.0, 1.0], [0.5], 0.1,
+                                    GroundTruth.from_nulls(set(), 2), ScoreKind.E_VALUE)
+
+    def test_boosted_reference_batches_divide_n(self):
+        with pytest.raises(InputError, match="n=3 not divisible by batch_size=2"):
+            boosted_reference([1.0] * 3, [0.1] * 3, 0.1, TruncationVariant.LOCAL_MINUS,
+                              lambda start, k0: [1.0] * 2, batch_size=2)
+
+    def test_expected_truncated_reference(self):
+        model = GaussianLRModel(3.0)
+        minus = TruncationSpec(TruncationVariant.MINUS, 0.05, 0.01, s=10)
+        with pytest.raises(InputError, match="b=-1.0 is negative"):
+            expected_truncated_reference(model, minus, -1.0)
+        assert expected_truncated_reference(model, minus, 0.0) == 0.0
+        full = TruncationSpec(TruncationVariant.FULL, 0.05, 0.01)
+        with pytest.raises(ConfigError, match="no closed form for variant full"):
+            expected_truncated_reference(model, full, 1.0)
+        # TruncationSpec itself does not compare the lag with s
+        local_plus = TruncationSpec(TruncationVariant.LOCAL_PLUS, 0.05, 0.01, s=5,
+                                    lag_kstar=5)
+        with pytest.raises(ConfigError, match="local_plus needs s >= lag_kstar"):
+            expected_truncated_reference(model, local_plus, 1.0)
 
 
 class TestMaxSelfConsistentFdp:

@@ -65,6 +65,18 @@ class TestShapeFunction:
         with pytest.raises(ConfigError):
             ShapeFunction.custom({1.0: 0.7, 2.0: 0.7})
 
+    def test_bad_shapes(self):
+        with pytest.raises(ConfigError, match="K=0 must be >= 1"):
+            ShapeFunction.by(0)
+        for measure in ({0.0: 0.5}, {1.0: -0.1}):
+            with pytest.raises(ConfigError, match="positive support and nonnegative mass"):
+                ShapeFunction.custom(measure)
+        with pytest.raises(ConfigError, match="unknown shape variant 'bh'"):
+            ShapeFunction("bh")
+
+    def test_identity_has_no_plateau(self):
+        assert ShapeFunction.identity().beta_sup == math.inf
+
     def test_minimal_k_matches_scan(self):
         b = ShapeFunction.by(50)
         for p in (0.0001, 0.003, 0.02, 0.5):
@@ -389,6 +401,13 @@ class TestSaffron:
         w = WeightSequence.geometric(0.9)
         with pytest.raises(ConfigError):
             Saffron(w, 0.1, lam=1.0)
+
+    def test_w0_validation(self):
+        # the initial wealth is at most (1 - lambda) * alpha = 0.05
+        w = WeightSequence.geometric(0.9)
+        assert Saffron(w, 0.1, lam=0.5, w0=0.05).w0 == 0.05
+        with pytest.raises(ConfigError, match="w0=0.06 outside"):
+            Saffron(w, 0.1, lam=0.5, w0=0.06)
 
 
 @st.composite

@@ -46,6 +46,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             GaussianSetupConfig(rho=1.0)
 
+    def test_sizes_and_signal(self):
+        for kw in (dict(n=0), dict(m=0)):
+            with pytest.raises(ConfigError, match="n and m must be positive"):
+                GaussianSetupConfig(**kw)
+        with pytest.raises(ConfigError, match="mu_a=0 must be positive"):
+            GaussianSetupConfig(mu_a=0)
+
 
 class TestGenerator:
     def test_shapes_and_ranges(self):
@@ -295,6 +302,17 @@ class TestAdversarial:
             AdversarialConfig(K0=0, alpha=0.05)
         with pytest.raises(ConfigError):
             AdversarialConfig(K0=10, alpha=0.05, K=5)
+        with pytest.raises(ConfigError, match="alpha=1 outside"):
+            AdversarialConfig(K0=10, alpha=1)
+
+    def test_every_trial_infeasible(self):
+        # K = K0 leaves no room for non-nulls, and at alpha = 0.01 no trial
+        # of five nulls has its sharpest stop at k1* = 0
+        cfg = AdversarialConfig(K0=5, alpha=0.01, m=5, K=5)
+        assert not any(generate_adversarial_trial(cfg, trial_rng(cfg.seed, i)).feasible
+                       for i in range(cfg.m))
+        with pytest.raises(ConfigError, match="all trials infeasible"):
+            run_adversarial(cfg)
 
 
 # Rejection times {index: time} and k* jumps {t: k*_t} of the boosted runs of
