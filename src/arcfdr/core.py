@@ -223,18 +223,18 @@ class WeightSequence:
 
 
 class RejectionSet:
-    """The set of rejected hypothesis indices at a given step, from a tuple,
-    which is range-checked, or in O(1) from a procedure's first-rejection
-    times with ``view``: R_t is the first |R_t| entries of that dict, all at
-    times <= t.  The size is fixed when the set is built; ``indices`` sorts
-    on first read.
+    """The rejected indices at a given step as first-rejection times: R_t is
+    the first |R_t| entries of that dict, all at times <= t.  Built from
+    distinct indices in any order, which are range-checked, or in O(1) from
+    a procedure's rejection times with ``view``; both give the same set.
+    The size is fixed when the set is built; ``indices`` sorts on first read.
     """
 
     def __init__(self, indices, time: int):
-        if indices and (min(indices) < 1 or max(indices) > time):
+        order = distinct_sorted(indices)
+        if order and (order[0] < 1 or order[-1] > time):
             raise InputError("rejection set contains an index beyond its time")
-        self._times, self._size, self.time = dict.fromkeys(indices, time), len(indices), time
-        self.indices = indices
+        self._times, self._size, self.time = dict.fromkeys(order, time), len(order), time
 
     @classmethod
     def view(cls, times: dict, time: int) -> "RejectionSet":
@@ -262,6 +262,15 @@ class RejectionSet:
 
     def __hash__(self) -> int:
         return hash((self.indices, self.time))
+
+
+def distinct_sorted(indices) -> list:
+    """The indices in increasing order; an index given twice is an InputError."""
+    order = sorted(indices)
+    if len(set(order)) < len(order):
+        twice = next(i for i, j in zip(order, order[1:]) if i == j)
+        raise InputError(f"index {twice} is given twice")
+    return order
 
 
 def harmonic_number(K: int) -> float:

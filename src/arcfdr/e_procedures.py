@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
+from itertools import takewhile
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class DeadlineSchedule:
 
 class StreamProcedure:
     """Common stream state: t and the first-rejection times, from which the
-    rejection sets, k*_t = |R_t| and the k* path are read."""
+    rejection sets, k*_t = |R_t|, the k* path and the newest rejections are
+    read."""
 
     kind: ScoreKind
 
@@ -73,7 +75,6 @@ class StreamProcedure:
         self.alpha = alpha
         self.t = 0
         self.rejection_times: dict[int, int] = {}
-        self._last_new: tuple = ()
 
     def _need(self, value: float, t: int):
         """The key that ``_place`` decides on for the raw score of hypothesis
@@ -115,9 +116,6 @@ class StreamProcedure:
         self.t = t
         if new:
             self._record(new, t)
-            self._last_new = tuple(sorted(new))
-        else:
-            self._last_new = ()
         return _view(self.rejection_times, t)
 
     def run(self, scores) -> "StreamProcedure":
@@ -126,16 +124,13 @@ class StreamProcedure:
         The scores are validated and their keys computed first, all at once,
         so a bad score raises before any state changes.  The result equals
         one ``step`` per score."""
-        t0 = self.t + 1
         values = score_values(scores, self.kind, self.t)
-        if not len(values):
-            return self
-        new = self._run(self._needs(values, t0), t0)
-        self._last_new = tuple(sorted(new)) if new else ()
+        if len(values):
+            self._run(self._needs(values, self.t + 1), self.t + 1)
         return self
 
-    def _run(self, keys, t0: int) -> list:
-        """One step per key (an array) from t0 on; returns the last step's rejections."""
+    def _run(self, keys, t0: int):
+        """One step per key (an array) from t0 on."""
         t = t0 - 1
         for key in keys.tolist():
             t += 1
@@ -143,7 +138,6 @@ class StreamProcedure:
             self.t = t
             if new:
                 self._record(new, t)
-        return new
 
     def rejection_set(self) -> RejectionSet:
         """R_t in O(1): a view of the rejection times up to their size now."""
@@ -151,8 +145,10 @@ class StreamProcedure:
 
     @property
     def newly_rejected(self) -> tuple:
-        """Indices first rejected by the most recent score."""
-        return self._last_new
+        """Indices first rejected by the most recent score, sorted: the
+        entries of the rejection times at time t, which are the last ones."""
+        times, t = self.rejection_times, self.t
+        return tuple(sorted(takewhile(lambda i: times[i] == t, reversed(times))))
 
 
 class _KStarStepUp(StreamProcedure):
@@ -303,7 +299,7 @@ class _KStarStepUp(StreamProcedure):
             del self._pending[:pos]
         return newly
 
-    def _run(self, keys, t0: int) -> list:
+    def _run(self, keys, t0: int):
         """``StreamProcedure._run`` where a deadline-free engine on integer
         needs only counts the arrivals out of reach.
 
@@ -314,8 +310,9 @@ class _KStarStepUp(StreamProcedure):
         to the waiting heap and set the mark ``_clear`` to N: no k in
         (k*, N] qualifies before it (the mark's invariant), and the new N
         brings no need into the pending list.  So just that is done, without
-        the search, and the pushes wait for the end of the call, as nothing
-        could pop them before.  An infinite need changes nothing.
+        the search; the need goes on the heap at once, where nothing pops
+        it in the call, as no drain reaches past N.  An infinite need
+        changes nothing.
 
         Only an engine with deadlines takes the step-by-step path (Storey's
         ratio keys have their own ``_run``).  It reads every deadline of the
@@ -324,11 +321,11 @@ class _KStarStepUp(StreamProcedure):
         if self.deadlines is not None:
             for t in range(t0, t0 + len(keys)):
                 self.deadlines.deadline(t)
-            return super()._run(keys, t0)
+            super()._run(keys, t0)
+            return
         count = self._count
         horizon = count + len(keys)
-        waiting, cap, far = self._waiting, self._cap, []
-        new, placed, t = [], 0, t0 - 1
+        waiting, cap, t = self._waiting, self._cap, t0 - 1
         for key in keys.tolist():
             t += 1
             if key > horizon:
@@ -337,19 +334,15 @@ class _KStarStepUp(StreamProcedure):
                 if not waiting or waiting[0][0] > count + 1:
                     count += 1
                     if key <= cap:
-                        far.append((key, t, math.inf))
+                        heappush(waiting, (key, t, math.inf))
                     continue
             self._count = self._clear = count
             new = self._place(key, t)
-            placed = t
             count = self._count
             if new:
                 self._record(new, t)
         self.t = t
         self._count = self._clear = count
-        for item in far:
-            heappush(waiting, item)
-        return new if placed == t else []
 
 
 class _LondRule(StreamProcedure):
@@ -363,7 +356,7 @@ class _LondRule(StreamProcedure):
     def _place(self, need, t: int) -> list:
         return [t] if need <= len(self.rejection_times) + 1 else []
 
-    def _run(self, keys, t0: int) -> list:
+    def _run(self, keys, t0: int):
         """A need above |R| + len(keys), |R| before the call, is never within
         |R_{t-1}| + 1 during the call, so only the other arrivals are
         placed."""
@@ -371,9 +364,7 @@ class _LondRule(StreamProcedure):
         for i, key in zip(reach.tolist(), keys[reach].tolist()):
             if key <= len(self.rejection_times) + 1:
                 self._record([t0 + i], t0 + i)
-        t = t0 + len(keys) - 1
-        self.t = t
-        return [t] if self.rejection_times.get(t) == t else []
+        self.t = t0 + len(keys) - 1
 
 
 class OnlineEBH(_KStarStepUp):

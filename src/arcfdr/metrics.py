@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import InputError, RejectionSet
+from .core import InputError, RejectionSet, distinct_sorted
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,10 @@ class GroundTruth:
 
     @classmethod
     def from_nulls(cls, nulls, n: int) -> "GroundTruth":
+        nulls = list(nulls)
+        bad = next((i for i in nulls if not 1 <= i <= n), None)
+        if bad is not None:
+            raise InputError(f"null index {bad} outside 1..{n}")
         nulls = set(nulls)
         return cls(tuple(i in nulls for i in range(1, n + 1)))
 
@@ -57,9 +61,17 @@ class GroundTruth:
         return len(self.labels) - self.n_nulls
 
 
+def _indices(rejections):
+    """The sorted indices of a RejectionSet, or of an iterable of indices,
+    which must be distinct: an index given twice would count twice."""
+    if isinstance(rejections, RejectionSet):
+        return rejections.indices
+    return distinct_sorted(rejections)
+
+
 def fdp(rejections, truth: GroundTruth) -> float:
     """False discovery proportion |R cap I_0| / (|R| v 1)."""
-    indices = rejections.indices if isinstance(rejections, RejectionSet) else tuple(rejections)
+    indices = _indices(rejections)
     if not indices:
         return 0.0
     false = int(np.count_nonzero(truth.nulls_at(indices)))
@@ -68,7 +80,7 @@ def fdp(rejections, truth: GroundTruth) -> float:
 
 def power(rejections, truth: GroundTruth) -> float:
     """Proportion of non-null hypotheses rejected."""
-    indices = rejections.indices if isinstance(rejections, RejectionSet) else tuple(rejections)
+    indices = _indices(rejections)
     denom = max(1, truth.n_nonnulls)
     true_pos = len(indices) - int(np.count_nonzero(truth.nulls_at(indices)))
     return true_pos / denom
@@ -101,8 +113,13 @@ def cell_estimates(rejection_times, nulls: np.ndarray, K: int | None = None,
     se = sample sd / sqrt(m): fdr_at_T, sup_fdr (running-max FDP), power,
     and on request sup_fdr_K (running max up to time K) and stop_fdr (FDP
     at the time ``stopping_rule`` picks).  rejection_times[i] is run i's map
-    index -> first rejection time and nulls[i] its null mask (m x n); one
-    bincount and cumsum count all and null rejections up to each t."""
+    index -> first rejection time and nulls[i] its null mask, a boolean
+    m x n array; one bincount and cumsum count all and null rejections up
+    to each t."""
+    nulls = np.asarray(nulls)
+    if nulls.ndim != 2 or nulls.dtype != bool:
+        raise InputError(f"null masks of shape {nulls.shape} and dtype {nulls.dtype}: "
+                         "expected a 2-D boolean array")
     m, n = nulls.shape
     if len(rejection_times) != m:
         raise InputError(f"{len(rejection_times)} runs for {m} null masks")

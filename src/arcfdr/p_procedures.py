@@ -273,20 +273,18 @@ class OnlineStoreyBH(_KStarStepUpP):
             keys[at] = values[at] / ag[at]
         return keys, pi0
 
-    def _run(self, values, t0: int, gammas=None, tails=None) -> list:
+    def _run(self, values, t0: int, gammas=None, tails=None):
         """``run()`` hands over the validated p-values: their keys and the
         pi0_hat path come from ``_path`` as vectors, and pi0_hat is set from
         the path before each ``_place``, so each step equals ``step()``'s.
         ``gammas`` and ``tails`` go to ``_path``."""
         keys, pi0 = self._path(values, t0, gammas, tails)
-        new = []
         for t, key, pi0_t in zip(range(t0, t0 + len(keys)), keys.tolist(), pi0.tolist()):
             self.pi0_hat = pi0_t
             new = self._place(key, t)
             self.t = t
             if new:
                 self._record(new, t)
-        return new
 
     def _bound(self, k):
         # pi0_hat is 0 only when every weight is 0, and then no key is counted

@@ -644,12 +644,12 @@ class TestTransforms:
         assert res.tail_bound == 0.0
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_prds_tail_indeterminate(self):
-        # a transform whose sup stays just below 1 but whose tail bound cannot
-        # settle within a tiny k_max comes back indeterminate
+    def test_prds_sup_of_exactly_one_passes(self):
+        # at alpha gamma = 1 the reciprocal transform's sup over k <= 3 is
+        # exactly 1, the bound itself, and the tail bound x(4) = 0.25 is
+        # below 1: a sup equal to 1 passes, it is not a failure
         psi = NonincreasingTransform.reciprocal()
         res = check_transform_condition(psi, 1.0, 1.0, mode="prds", k_max=3)
-        # x(4) = 0.25 <= 1 and sup = 1: still a clean pass at ag = 1
         assert res.passed is True
 
     def test_bad_mode(self):

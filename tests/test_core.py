@@ -262,6 +262,25 @@ class TestRejectionSet:
         assert hash(r) == hash(RejectionSet((1, 3), 4))
         assert len({r, RejectionSet((1, 3), 4), RejectionSet((1,), 4)}) == 2
 
+    def test_order_of_the_indices_does_not_matter(self):
+        r = RejectionSet((3, 1), 4)
+        assert r == RejectionSet((1, 3), 4) and hash(r) == hash(RejectionSet((1, 3), 4))
+        assert r.indices == (1, 3) and len(r) == 2
+        # OnlineBH rejects 3, then 2, at t = 3: its view is the set {2, 3}
+        proc = OnlineBH(WeightSequence.uniform_finite(10), 0.2)
+        for p in (0.3, 0.04, 0.001):
+            view = proc.step(p)
+        assert list(proc.rejection_times) == [3, 2]
+        for indices in ((3, 2), (2, 3)):
+            got = RejectionSet(indices, 3)
+            assert got == view and hash(got) == hash(view) and got.indices == (2, 3)
+
+    def test_index_given_twice(self):
+        with pytest.raises(InputError, match="index 1 is given twice"):
+            RejectionSet((1, 1), 3)
+        with pytest.raises(InputError, match="index 2 is given twice"):
+            RejectionSet((3, 2, 1, 2), 3)
+
     @pytest.mark.parametrize("cls", [OnlineBH, Lond, Lord])
     def test_procedure_set_equals_tuple_set(self, cls):
         # OnlineBH rejects 2 after 3 at t = 3: its record is not sorted

@@ -26,6 +26,11 @@ class TestGroundTruth:
         with pytest.raises(InputError):
             t.is_null(3)
 
+    @pytest.mark.parametrize("nulls, bad", [({0, 5, 2}, 0), ([2, 4, 1], 4), ([-1], -1)])
+    def test_null_index_outside_the_stream(self, nulls, bad):
+        with pytest.raises(InputError, match=f"null index {bad} outside 1..3"):
+            GroundTruth.from_nulls(nulls, 3)
+
 
 class TestNullMask:
     def test_nulls_at_reads_is_null(self):
@@ -97,6 +102,14 @@ class TestFdpPower:
         t = GroundTruth.from_nulls({2}, 4)  # non-nulls 1, 3, 4
         assert power([1, 2], t) == pytest.approx(1.0 / 3.0)
         assert power([], t) == 0.0
+
+    def test_index_given_twice(self):
+        t = GroundTruth((False, True, True))
+        with pytest.raises(InputError, match="index 1 is given twice"):
+            power((1, 1), t)
+        with pytest.raises(InputError, match="index 2 is given twice"):
+            fdp((1, 2, 2), t)
+        assert power((1,), t) == 1.0 and fdp((1, 2), t) == 0.5
 
     def test_power_no_nonnulls(self):
         t = GroundTruth.from_nulls({1, 2}, 2)
@@ -188,6 +201,16 @@ class TestCellEstimates:
         for rule in (StoppingRule.time_of_jth_rejection(3), StoppingRule.fixed_time(20)):
             out = cell_estimates(times, nulls, stopping_rule=rule)
             assert out["sup_fdr"][0] >= out["stop_fdr"][0]
+
+    def test_nulls_are_a_boolean_matrix(self):
+        times = [{1: 2, 3: 3}, {1: 1, 2: 4}]
+        mask = [[True, False, False, False], [False, True, False, False]]
+        assert cell_estimates(times, mask) == cell_estimates(times, np.array(mask))
+        # a 0/1 mask would index the runs' rows by its values
+        for nulls in (np.array(mask, dtype=int), [[1, 0, 0, 0], [0, 1, 0, 0]],
+                      np.array(mask[0]), np.array([mask])):
+            with pytest.raises(InputError, match="expected a 2-D boolean array"):
+                cell_estimates(times, nulls)
 
     def test_checks_its_input(self):
         times, nulls = self.runs()
