@@ -48,17 +48,17 @@ class TruncationSpec:
         v = self.variant
         if v in (TruncationVariant.PLUS, TruncationVariant.MINUS,
                  TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS):
-            if self.s is None or self.s < 1:
-                raise ConfigError(f"{v.value} needs a cutoff s >= 1")
+            if self.s is None or not self.s >= 1:  # NaN too
+                raise ConfigError(f"{v.value} needs a cutoff s >= 1, got s={self.s}")
         if v in (TruncationVariant.LOCAL, TruncationVariant.LOCAL_PLUS,
                  TruncationVariant.LOCAL_MINUS):
-            if self.lag_kstar is None or self.lag_kstar < 0:
-                raise ConfigError(f"{v.value} needs lag_kstar >= 0")
+            if self.lag_kstar is None or not self.lag_kstar >= 0:  # NaN too
+                raise ConfigError(f"{v.value} needs lag_kstar >= 0, got {self.lag_kstar}")
         elif self.lag_kstar is not None:
             raise ConfigError(f"{v.value} takes no lag_kstar (local variants only)")
         if v is TruncationVariant.TOAD:
-            if self.d is None or self.d < 1:
-                raise ConfigError("toad needs a deadline d >= 1")
+            if self.d is None or not self.d >= 1:  # NaN too
+                raise ConfigError(f"toad needs a deadline d >= 1, got d={self.d}")
 
     @property
     def cutoff_s(self) -> float:
@@ -747,8 +747,9 @@ def check_transform_condition(psi: NonincreasingTransform, alpha: float, gamma: 
         return TransformConditionResult(None, sup, tail, mode)
 
     if mode == "toad":
-        if d is None or d < 1:
-            raise ConfigError("toad mode needs a deadline d >= 1")
+        if d is None or not 1 <= d < math.inf:  # NaN too
+            raise ConfigError(f"toad mode needs a deadline 1 <= d < inf, got d={d}"
+                              " (d = inf is the arbitrary mode)")
         k_top = int(d)
         exact = True  # the series terminates at the deadline
     elif mode == "arbitrary":

@@ -86,9 +86,10 @@ class StreamProcedure:
         array: the scores themselves unless a subclass keys them otherwise."""
         return values
 
-    def _place(self, need, t: int) -> list:
-        """Process the key of hypothesis t; return the indices it newly
-        rejects.  Raises before changing any state."""
+    def _place(self, need, t: int):
+        """Process the key of hypothesis t and book the indices it newly
+        rejects in the rejection times, at time t and in time order, after
+        every read of R_{t-1}.  Raises before changing any state."""
         raise NotImplementedError
 
     @property
@@ -102,20 +103,13 @@ class StreamProcedure:
         times on each read."""
         return rejection_counts(self.rejection_times, self.t).tolist()
 
-    def _record(self, new: list, t: int):
-        """Book the indices that hypothesis t newly rejects."""
-        for i in new:
-            self.rejection_times[i] = t
-
     def step(self, score) -> RejectionSet:
         """Feed one score, returning the current rejection set: validate the
-        score, key it, place the key, book what it newly rejects and return
-        R_t as an O(1) view."""
+        score, key it, place the key (which books what it newly rejects) and
+        return R_t as an O(1) view."""
         t = self.t + 1
-        new = self._place(self._need(score_value(score, self.kind), t), t)
+        self._place(self._need(score_value(score, self.kind), t), t)
         self.t = t
-        if new:
-            self._record(new, t)
         return _view(self.rejection_times, t)
 
     def run(self, scores) -> "StreamProcedure":
@@ -131,13 +125,9 @@ class StreamProcedure:
 
     def _run(self, keys, t0: int):
         """One step per key (an array) from t0 on."""
-        t = t0 - 1
-        for key in keys.tolist():
-            t += 1
-            new = self._place(key, t)
+        for t, key in enumerate(keys.tolist(), t0):
+            self._place(key, t)
             self.t = t
-            if new:
-                self._record(new, t)
 
     def rejection_set(self) -> RejectionSet:
         """R_t in O(1): a view of the rejection times up to their size now."""
@@ -257,19 +247,19 @@ class _KStarStepUp(StreamProcedure):
             needs.insert(pos, need)
             pending.insert(pos, j)
 
-    def _place(self, need, t: int) -> list:
+    def _place(self, need, t: int):
         deadline = math.inf if self.deadlines is None else self.deadlines.deadline(t)
         if self._expiry:
             self._expire(t)
-        k_star = len(self.rejection_times)  # k*_{t-1}
+        times = self.rejection_times
+        k_star = len(times)  # k*_{t-1}, read before t is booked
         bound_of = self._bound
         bound = k_star if bound_of is None else bound_of(k_star)
-        newly = []
         if need != math.inf:
             self._count += 1
             if need <= bound:
                 self._clear = k_star
-                newly = [t]
+                times[t] = t
             else:
                 # its reach, min(support, N + d_t - t)
                 if need <= self._cap and need <= self._count + deadline - t:
@@ -281,7 +271,7 @@ class _KStarStepUp(StreamProcedure):
         if self._waiting and self._waiting[0][0] <= b:
             self._drain(b, t)
         needs = self._pending_needs
-        rejected = k_star + len(newly)  # each qualifies at every k searched
+        rejected = len(times)  # each qualifies at every k searched
         # every k in (k*, clear] is known not to satisfy count(k) >= k
         lo = k_star if bound_of is not None else max(k_star, self._clear)
         while k > lo:
@@ -294,10 +284,10 @@ class _KStarStepUp(StreamProcedure):
         self._clear = self._count
         if needs and needs[0] <= bound:
             pos = bisect_right(needs, bound)
-            newly += self._pending[:pos]
+            for j in self._pending[:pos]:  # after the arrival, in need order
+                times[j] = t
             del needs[:pos]
             del self._pending[:pos]
-        return newly
 
     def _run(self, keys, t0: int):
         """``StreamProcedure._run`` where a deadline-free engine on integer
@@ -337,10 +327,8 @@ class _KStarStepUp(StreamProcedure):
                         heappush(waiting, (key, t, math.inf))
                     continue
             self._count = self._clear = count
-            new = self._place(key, t)
+            self._place(key, t)
             count = self._count
-            if new:
-                self._record(new, t)
         self.t = t
         self._count = self._clear = count
 
@@ -353,8 +341,9 @@ class _LondRule(StreamProcedure):
     step-up sibling.
     """
 
-    def _place(self, need, t: int) -> list:
-        return [t] if need <= len(self.rejection_times) + 1 else []
+    def _place(self, need, t: int):
+        if need <= len(self.rejection_times) + 1:
+            self.rejection_times[t] = t
 
     def _run(self, keys, t0: int):
         """A need above |R| + len(keys), |R| before the call, is never within
@@ -362,8 +351,7 @@ class _LondRule(StreamProcedure):
         placed."""
         reach = np.flatnonzero(keys <= len(self.rejection_times) + len(keys))
         for i, key in zip(reach.tolist(), keys[reach].tolist()):
-            if key <= len(self.rejection_times) + 1:
-                self._record([t0 + i], t0 + i)
+            self._place(key, t0 + i)
         self.t = t0 + len(keys) - 1
 
 

@@ -46,8 +46,11 @@ class ShapeFunction:
         elif variant == "custom":
             # discrete measure: {support point x > 0: mass}
             measure = {float(x): float(m) for x, m in params["measure"].items()}
-            if any(x <= 0 or m < 0 for x, m in measure.items()):
-                raise ConfigError("measure needs positive support and nonnegative mass")
+            # NaN fails both tests; an infinite point or mass would leave
+            # beta_sup inf or nan, and minimal_k would search without end
+            if not all(0 < x < math.inf and 0 <= m < math.inf for x, m in measure.items()):
+                raise ConfigError(
+                    "measure needs positive support and nonnegative mass, both finite")
             total = math.fsum(measure.values())
             if total > 1.0 + 1e-12:
                 raise ConfigError(f"measure mass {total} exceeds 1")
@@ -281,10 +284,8 @@ class OnlineStoreyBH(_KStarStepUpP):
         keys, pi0 = self._path(values, t0, gammas, tails)
         for t, key, pi0_t in zip(range(t0, t0 + len(keys)), keys.tolist(), pi0.tolist()):
             self.pi0_hat = pi0_t
-            new = self._place(key, t)
+            self._place(key, t)
             self.t = t
-            if new:
-                self._record(new, t)
 
     def _bound(self, k):
         # pi0_hat is 0 only when every weight is 0, and then no key is counted
@@ -340,7 +341,8 @@ class Lord(StreamProcedure):
         level = self._level(t)
         self.levels.append(level)
         self.spent += level
-        return [t] if value <= level else []
+        if value <= level:
+            self.rejection_times[t] = t
 
     def condition_slack(self) -> float:
         """alpha * (|R_t| v 1) - sum_{i<=t} alpha_i; nonnegative when valid."""
@@ -419,12 +421,13 @@ class Saffron(StreamProcedure):
                 self._sum_rest *= q
             if rejected:
                 g1 = self.weights.gamma(1)
-                # t is recorded after this step, so the times hold tau_j < t
+                # t is booked below, so the times hold tau_j < t
                 if not self.rejection_times:
                     self._sum_first += g1
                 else:
                     self._sum_rest += g1
-        return [t] if rejected else []
+        if rejected:
+            self.rejection_times[t] = t
 
     def condition_slack(self) -> float:
         """alpha * (|R_t| v 1) - sum alpha_i 1{P_i > lambda}/(1-lambda)."""

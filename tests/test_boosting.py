@@ -117,6 +117,17 @@ class TestTruncate:
         with pytest.raises(ConfigError):
             TruncationSpec(TruncationVariant.FULL, 0.0, 0.01)
 
+    # NaN passes a `field < bound` check: a NaN s would act as no cutoff
+    # (truncate would give 1e-9 for 1e-9, not 0), a NaN lag_kstar a NaN value
+    @pytest.mark.parametrize("variant, field", [
+        (TruncationVariant.MINUS, "s"),
+        (TruncationVariant.LOCAL, "lag_kstar"),
+        (TruncationVariant.TOAD, "d"),
+    ])
+    def test_nan_field_refused(self, variant, field):
+        with pytest.raises(ConfigError, match=f"{field} >= .*nan"):
+            spec(variant, **{field: math.nan})
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):
         with pytest.raises(ConfigError, match="gamma"):
@@ -671,6 +682,13 @@ class TestTransforms:
             check_transform_condition(psi, ALPHA, 0.0)
         with pytest.raises(ConfigError, match="toad mode needs a deadline"):
             check_transform_condition(psi, ALPHA, GAMMA, mode="toad")
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_toad_mode_refuses_a_deadline_that_is_not_finite(self, d):
+        # int(d) raised OverflowError for inf and ValueError for nan
+        with pytest.raises(ConfigError, match=f"d={d}"):
+            check_transform_condition(NonincreasingTransform.reciprocal(), ALPHA, GAMMA,
+                                      mode="toad", d=d)
 
     def test_psi_from_an_inverse_at_the_ends(self):
         # psi(0) = inf; an inverse that is 1 everywhere has psi = inf on [0, 1]

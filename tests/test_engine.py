@@ -332,9 +332,8 @@ def peak_waiting(cls):
         peak = 0
 
         def _place(self, need, t):
-            new = super()._place(need, t)
+            super()._place(need, t)
             self.peak = max(self.peak, len(self._waiting))
-            return new
     return Probe
 
 

@@ -71,6 +71,15 @@ class TestShapeFunction:
         for measure in ({0.0: 0.5}, {1.0: -0.1}):
             with pytest.raises(ConfigError, match="positive support and nonnegative mass"):
                 ShapeFunction.custom(measure)
+
+    @pytest.mark.parametrize("measure", [{math.inf: 0.5}, {math.nan: 0.5}, {1.0: math.nan},
+                                         {1.0: math.inf}, {1.0: 0.3, 2.0: math.nan}])
+    def test_custom_measure_not_finite(self, measure):
+        # {inf: 0.5} left beta_sup inf and minimal_k doubling its bracket
+        # forever; {1.0: nan} left beta_sup nan and a procedure that never
+        # rejects.  minimal_k is not called: it need not return on such a shape
+        with pytest.raises(ConfigError, match="both finite"):
+            ShapeFunction.custom(measure)
         with pytest.raises(ConfigError, match="unknown shape variant 'bh'"):
             ShapeFunction("bh")
 
