@@ -5,6 +5,7 @@ e-values, p-to-e transforms, and SupFDR/OnlineFDR condition checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -250,9 +251,15 @@ class BoostCurve:
                  lag_kstar=None):
         if variant in (TruncationVariant.FULL, TruncationVariant.LOCAL):
             raise ConfigError(f"no closed form for variant {variant.value}")
+        try:  # any integer, numpy's too, but not 2.5 read as 2
+            s = operator.index(s)
+        except TypeError:
+            raise ConfigError(f"{variant.value} needs an integer cutoff s, got s={s!r}") from None
         if s < 1:
-            raise ConfigError(f"{variant.value} needs a cutoff s >= 1")
+            raise ConfigError(f"{variant.value} needs a cutoff s >= 1, got s={s}")
         local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
+        if not local and lag_kstar is not None:
+            raise ConfigError(f"{variant.value} takes no lag_kstar (local variants only)")
         if not local:
             k0 = np.zeros(1, dtype=np.int64)
         elif lag_kstar is None or np.any(np.asarray(lag_kstar) < 0):
@@ -486,12 +493,14 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     b_t = 1 where E_null[T_t(E)] >= 1 already.  A target's factor does not
     depend on which other targets or lags share the call, nor on the rows
     left on the table by earlier calls.  Raises ConfigError for a
-    non-finite weight, and SolverError for a zero weight, for no root in
-    [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above 1e-6: for
-    a factor from the interpolant, |p - y|/y plus the bound, else from the
-    last exact evaluation.  The former is at most about 1e-9, so it checks
-    p against its own bound only: that the table's rows and p are G and its
-    interpolant rests on the tests against bisection on exact evaluations.
+    non-finite weight, a cutoff s that is not an integer >= 1 or a lag on
+    a variant that is not local, and SolverError for a zero weight, for no
+    root in [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above
+    1e-6: for a factor from the interpolant, |p - y|/y plus the bound, else
+    from the last exact evaluation.  The former is at most about 1e-9, so it
+    checks p against its own bound only: that the table's rows and p are G
+    and its interpolant rests on the tests against bisection on exact
+    evaluations.
     """
     if b_max < 1.0:
         raise ConfigError(f"b_max={b_max} is below 1")
@@ -516,8 +525,8 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         below = start = np.clip(top, ly, v_top)
         first = top <= ly
     else:
-        if table is None or (table.delta, table.s) != (model.delta, s):
-            table = BoostTable(model.delta, s)
+        if table is None or (table.delta, table.s) != (model.delta, curve.s):
+            table = BoostTable(model.delta, curve.s)
         c = np.broadcast_to(curve.column, y.shape)
         # rows from just below the least log y up, doubling the span above
         # the largest log y until every target has its bracket, or until

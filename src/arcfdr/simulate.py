@@ -34,8 +34,11 @@ E_PROCEDURES = ("oe-bh", "e-lond", "oe-bh-boost", "oe-bh-boost-minus",
 P_PROCEDURES = ("obh", "lond", "r-lond", "obr", "osbh", "lord", "saffron")
 ALL_PROCEDURES = E_PROCEDURES + P_PROCEDURES
 
-_GLOBAL_BOOSTS = {"oe-bh-boost": TruncationVariant.PLUS,
-                  "oe-bh-boost-minus": TruncationVariant.MINUS}
+# the boosted procedures: the variant of their factors, and whether they
+# run in batches of batch_size (else in one batch of all n)
+_BOOSTS = {"oe-bh-boost": (TruncationVariant.LOCAL_PLUS, False),
+           "oe-bh-boost-minus": (TruncationVariant.LOCAL_MINUS, False),
+           "oe-bh-boost-local": (TruncationVariant.LOCAL_MINUS, True)}
 
 
 @dataclass(frozen=True)
@@ -105,47 +108,6 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
     return GaussianTrial(z, x, evalues, pvalues, truth)
 
 
-def _boost_factors(cfg, variant, gammas, cache):
-    """b_t for t = 1..n at the global cutoff s = n, from the configuration's
-    weights gammas: one solve on the setup's boosting table, memoized as one
-    read-only cache entry."""
-    key = (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, 1, cfg.n, None)
-    if key not in cache:
-        b = solve_boost_factors(GaussianLRModel(cfg.mu_a), variant, cfg.alpha, gammas,
-                                cfg.n, table=_boost_table(cfg, cache))
-        b.flags.writeable = False
-        cache[key] = b
-    return cache[key]
-
-
-def _local_boost_factors(cfg, start, lags, gammas, cache):
-    """{k0: b_t for the batch t = start+1 .. start+batch_size at lag k0} for
-    every k0 in lags.  Each (batch, lag) is one read-only cache entry, and
-    the misses are solved in one call with one lag per target."""
-    bsz = cfg.batch_size
-    keys = {k0: (TruncationVariant.LOCAL_MINUS, cfg.mu_a, cfg.alpha, cfg.q, cfg.n,
-                 start + 1, bsz, k0) for k0 in lags}
-    miss = [k0 for k0, key in keys.items() if key not in cache]
-    if miss:
-        b = solve_boost_factors(GaussianLRModel(cfg.mu_a), TruncationVariant.LOCAL_MINUS,
-                                cfg.alpha, np.tile(gammas[start:start + bsz], len(miss)),
-                                cfg.n, lag_kstar=np.repeat(miss, bsz),
-                                table=_boost_table(cfg, cache))
-        b.flags.writeable = False
-        for i, k0 in enumerate(miss):
-            cache[keys[k0]] = b[i * bsz:(i + 1) * bsz]
-    return {k0: cache[key] for k0, key in keys.items()}
-
-
-def _boost_table(cfg, cache):
-    """The boosting table shared by every boosted run of the cutoff s = n at
-    delta = mu_a; the solver adds the rows each call needs."""
-    key = ("boost-table", cfg.mu_a, cfg.n)
-    if key not in cache:
-        cache[key] = BoostTable(cfg.mu_a, cfg.n)
-    return cache[key]
-
-
 @dataclass
 class ProcedureRun:
     """One procedure's full history on one trial."""
@@ -203,6 +165,30 @@ class _Cell:
                 self._needs[key] = ShapeFunction.by(cfg.n).needs(self.pvalues, cfg.alpha, g)
         return self._needs[key]
 
+    def boost_factors(self, variant: TruncationVariant, start: int, size: int,
+                      lags) -> dict:
+        """{k0: b_t for t = start+1 .. start+size at lag k0} for every k0 in
+        lags, for a local variant at the cutoff s = n.  Each (variant,
+        batch, lag) is one read-only cache entry, and the misses are solved
+        in one call with one lag per target, on the cache's one BoostTable
+        of (mu_a, n): its rows depend only on delta and s."""
+        cfg, cache = self.cfg, self.cache
+        keys = {k0: (variant, cfg.mu_a, cfg.alpha, cfg.q, cfg.n, start + 1, size, k0)
+                for k0 in lags}
+        miss = [k0 for k0, key in keys.items() if key not in cache]
+        if miss:
+            table_key = ("boost-table", cfg.mu_a, cfg.n)
+            if table_key not in cache:
+                cache[table_key] = BoostTable(cfg.mu_a, cfg.n)
+            b = solve_boost_factors(GaussianLRModel(cfg.mu_a), variant, cfg.alpha,
+                                    np.tile(self.gammas[start:start + size], len(miss)),
+                                    cfg.n, lag_kstar=np.repeat(miss, size),
+                                    table=cache[table_key])
+            b.flags.writeable = False
+            for i, k0 in enumerate(miss):
+                cache[keys[k0]] = b[i * size:(i + 1) * size]
+        return {k0: cache[key] for k0, key in keys.items()}
+
 
 def _run_procedure(name: str, cell: _Cell) -> list:
     """One procedure's ProcedureRun on every trial of a cell.  Each trial's
@@ -215,16 +201,8 @@ def _run_procedure(name: str, cell: _Cell) -> list:
         rule, key = _NEED_RULES[name]
         args = (ShapeFunction.by(n),) if key == "by" else ()
         procs, rows = [rule(weights, alpha, *args) for _ in rows], cell.needs(key)
-    elif name in _GLOBAL_BOOSTS:
-        # feeding b_t * E_t to online e-BH is exact at s = n.  plus: the pass-
-        # through region sits below every rejection threshold.  minus: truncation
-        # only zeroes values whose need exceeds n >= k*_t and moves the rest down
-        # to a grid value of the same need, so it changes no decision
-        b = _boost_factors(cfg, _GLOBAL_BOOSTS[name], cell.gammas, cell.cache)
-        procs = [OnlineEBH(weights, alpha) for _ in rows]
-        rows = needs(b * cell.evalues, ScoreKind.E_VALUE, alpha, cell.gammas)
-    elif name == "oe-bh-boost-local":
-        procs, rows = _run_local_boost(cell), ()  # fed batch by batch there
+    elif name in _BOOSTS:
+        procs, rows = _run_boosted(cell, *_BOOSTS[name]), ()  # fed batch by batch there
     elif name == "osbh":
         # the batch path of run(), with the weights' tail masses computed once
         procs = [OnlineStoreyBH(weights, alpha, cfg.lam) for _ in rows]
@@ -237,25 +215,34 @@ def _run_procedure(name: str, cell: _Cell) -> list:
     return [ProcedureRun(name, n, proc.rejection_times) for proc in procs]
 
 
-def _run_local_boost(cell: _Cell) -> list:
-    """Local boosting on every trial of a cell, batch by batch in lockstep.
+def _run_boosted(cell: _Cell, variant: TruncationVariant, batched: bool) -> list:
+    """Boosted online e-BH on every trial of a cell, batch by batch in
+    lockstep, fed b_t E_t without truncation: in batches of batch_size, or
+    in one batch of all n.
 
-    The lag is L_t = (t-1) mod batch_size, so k*_{t-L_t-1} is each run's own
-    k* at the end of the previous batch.  A batch's factors at every trial's
-    lag come from one cache lookup per lag and one solve of the misses, and
-    its needs from one call over all trials."""
+    Every boosted run is local boosting at the cutoff s = n.  The lag is
+    L_t = (t-1) mod size, so k0 = k*_{t-L_t-1} is each run's own k* at the
+    end of the previous batch, and the cap 1/((k0+1) alpha gamma_t) at
+    k0 = 0 is the top of the grid: plus and minus boosting are local_plus
+    and local_minus in one batch of 1..n, where every run starts at k0 = 0.
+    A batch's factors at every trial's lag come from one lookup, and its
+    needs from one call over all trials.
+
+    Feeding b_t E_t is exact.  plus: the pass-through region sits below
+    every rejection threshold.  minus: truncation only zeroes values whose
+    need exceeds n >= k*_t and moves the rest down to a grid value of the
+    same need, so it changes no decision.  The lag cap only raises needs
+    <= k0 to k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
+    arrival either way, and needs below k*_t are never read again."""
     cfg, gammas = cell.cfg, cell.gammas
-    bsz = cfg.batch_size
+    size = cfg.batch_size if batched else cfg.n
     procs = [OnlineEBH(cell.weights, cfg.alpha) for _ in range(cfg.m)]
-    for start in range(0, cfg.n, bsz):
+    for start in range(0, cfg.n, size):
         lags = [proc.k_star for proc in procs]
-        factors = _local_boost_factors(cfg, start, lags, gammas, cell.cache)
+        factors = cell.boost_factors(variant, start, size, lags)
         b = np.array([factors[k0] for k0 in lags])
-        # the lag cap 1/((k0+1) alpha gamma_t) only raises needs <= k0 to
-        # k0 + 1; as k0 <= k*_{t-1}, such a hypothesis is rejected on
-        # arrival either way, and needs below k*_t are never read again
-        keys = needs(b * cell.evalues[:, start:start + bsz], ScoreKind.E_VALUE,
-                     cfg.alpha, gammas[start:start + bsz])
+        keys = needs(b * cell.evalues[:, start:start + size], ScoreKind.E_VALUE,
+                     cfg.alpha, gammas[start:start + size])
         for proc, row in zip(procs, keys):
             proc._run(row, start + 1)
     return procs

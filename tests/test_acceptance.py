@@ -228,12 +228,16 @@ def test_criterion_5_fdr_bounds(s6_default, s6_independent):
 
     e_est = estimates(runs["oe-bh"], truths)
     p_est = estimates(runs_ind["obh"], truths_ind)
+    # the rest of the default run: the batch-correlated setup is PRDS, and
+    # e-LOND holds under arbitrary dependence
+    dep_est = [(label, estimates(runs[name], truths))
+               for label, name in (("oBH", "obh"), ("e-LOND", "e-lond"), ("LOND", "lond"))]
     e_mean, e_se = e_est[0]["sup_fdr"]
     p_mean, p_se = p_est[0]["sup_fdr"]
     e_bound = 0.05
     p_bound = 0.05 * (1.0 + math.log(20.0))
     stops = [(label, j, *est["stop_fdr"])
-             for label, ests in (("oe-BH", e_est), ("oBH, indep", p_est))
+             for label, ests in (("oe-BH", e_est), *dep_est, ("oBH, indep", p_est))
              for j, est in zip((10, 20), ests)]
     elapsed = t_dep + t_ind
     ok = (e_mean <= e_bound + 3 * e_se and p_mean <= p_bound + 3 * p_se

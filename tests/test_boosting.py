@@ -359,6 +359,29 @@ class TestSolverProperties:
             solve_boost_factors(model, TruncationVariant.MINUS, ALPHA, [GAMMA], s=10,
                                 b_max=0.5)
 
+    @pytest.mark.parametrize("variant", [TruncationVariant.PLUS, TruncationVariant.MINUS,
+                                         TruncationVariant.PRDS])
+    def test_lag_only_on_local_variants(self, variant):
+        # as TruncationSpec does: a lag would be ignored on these variants
+        with pytest.raises(ConfigError, match="takes no lag_kstar"):
+            solve_boost_factors(GaussianLRModel(3.0), variant, ALPHA, [GAMMA], 100,
+                                lag_kstar=5)
+
+    @pytest.mark.parametrize("variant", [TruncationVariant.MINUS,
+                                         TruncationVariant.LOCAL_MINUS,
+                                         TruncationVariant.PRDS])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 2.5])
+    def test_cutoff_is_an_integer(self, variant, s):
+        lag = 0 if variant is TruncationVariant.LOCAL_MINUS else None
+        model = GaussianLRModel(3.0)
+        with pytest.raises(ConfigError, match=r"integer cutoff s, got s="):
+            solve_boost_factors(model, variant, ALPHA, [GAMMA], s, lag_kstar=lag)
+        with pytest.raises(ConfigError, match=r"integer cutoff s, got s="):
+            BoostCurve(3.0, variant, s, lag)
+        np.testing.assert_array_equal(
+            solve_boost_factors(model, variant, ALPHA, [GAMMA], np.int64(100), lag_kstar=lag),
+            solve_boost_factors(model, variant, ALPHA, [GAMMA], 100, lag_kstar=lag))
+
     def test_no_root_below_b_max(self):
         # a narrow null leaves the minus cutoff out of reach for any b <= 10
         model = GaussianLRModel(0.5)
@@ -489,6 +512,21 @@ def bisect_roots(curve, y, b_max=B_MAX):
         up = g < y
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     return np.exp(hi - ly)
+
+
+@pytest.mark.parametrize("delta", [1.0, 3.5])
+@pytest.mark.parametrize("n", [200, 1000])
+def test_plus_and_minus_are_local_at_lag_zero(delta, n):
+    """At k0 = 0 the lag cap 1/(alpha gamma) is the top of the grid, so plus
+    and minus boosting are local_plus and local_minus at lag 0, bit for bit,
+    with one lag for all targets or one per target."""
+    model = GaussianLRModel(delta)
+    for variant, local in ((TruncationVariant.PLUS, TruncationVariant.LOCAL_PLUS),
+                           (TruncationVariant.MINUS, TruncationVariant.LOCAL_MINUS)):
+        b = solve_boost_factors(model, variant, ALPHA, GEOMETRIC[:n], n)
+        for lag in (0, np.zeros(n, dtype=np.int64)):
+            np.testing.assert_array_equal(
+                solve_boost_factors(model, local, ALPHA, GEOMETRIC[:n], n, lag_kstar=lag), b)
 
 
 class TestOneEvaluation:

@@ -162,23 +162,32 @@ class TestRunTrials:
         solves = []
         solve = simulate.solve_boost_factors
         monkeypatch.setattr(simulate, "solve_boost_factors",
-                            lambda *a, **k: solves.append((a[3], k.get("lag_kstar")))
+                            lambda *a, **k: solves.append((a[1], a[3], k["lag_kstar"]))
                             or solve(*a, **k))
         cfg = GaussianSetupConfig(n=200, batch_size=20, m=4, seed=17)
         cache = {}
         run_experiment(cfg, ALL_PROCEDURES, pi_as=[0.1, 0.3], cache=cache)
-        # one table, one solve of all 200 weights per global cutoff, and one
-        # read-only entry per (batch, lag) of the local runs
+        # one table, one solve of all 200 weights per boosting of one batch
+        # of 1..n (plus and minus), and one read-only entry per (batch, lag)
+        # of the local runs; every solve is of a local variant
+        assert {v for v, _, _ in solves} <= {TruncationVariant.LOCAL_PLUS,
+                                             TruncationVariant.LOCAL_MINUS}
         factors = {k: v for k, v in cache.items() if isinstance(v, np.ndarray)}
         assert len(cache) == len(factors) + 1
         assert not any(b.flags.writeable for b in factors.values())
-        local = [k for k in factors if k[0] is TruncationVariant.LOCAL_MINUS]
+        local = [k for k in factors if k[6] == cfg.batch_size]
         assert len(factors) == len(local) + 2
         assert all(len(factors[k]) == 20 for k in local)
-        assert [len(g) for g, lag in solves if lag is None] == [200, 200]
+        whole = [k for k in factors if k[6] == cfg.n]
+        assert sorted(k[0].value for k in whole) == ["local_minus", "local_plus"]
+        assert all(k[5] == 1 and k[7] == 0 and len(factors[k]) == 200 for k in whole)
+        # a batched solve has at most m * batch_size = 80 targets, so the
+        # 200-target solves are those of one batch of 1..n, each at lag 0
+        assert [len(g) for _, g, _ in solves if len(g) == cfg.n] == [200, 200]
+        assert all(np.all(lag == 0) for _, g, lag in solves if len(g) == cfg.n)
         # each (batch, lag) solved once, and at most one local solve per
         # (cell, batch): its misses at every lag of the batch together
-        local_solves = [(g, lag) for g, lag in solves if lag is not None]
+        local_solves = [(g, lag) for _, g, lag in solves if len(g) != cfg.n]
         assert sum(len(lag) for _, lag in local_solves) == 20 * len(local)
         batches = [float(g[0]) for g, _ in local_solves]
         assert max(batches.count(b) for b in batches) <= 2
@@ -187,6 +196,18 @@ class TestRunTrials:
             lags = np.unique(lag)
             assert len(lag) == 20 * len(lags)
             assert all(np.sum(lag == k0) == 20 for k0 in lags)
+
+    def test_one_batch_of_local_boosting_is_minus_boosting(self):
+        # at batch_size = n every run's one lag is k* = 0, whose cap is the
+        # top of the grid
+        names = ["oe-bh-boost-minus", "oe-bh-boost-local"]
+        for n, pi_a in ((200, 0.3), (400, 0.7)):
+            cfg = GaussianSetupConfig(n=n, batch_size=n, m=4, pi_a=pi_a, seed=23)
+            runs, _ = run_trials(cfg, names)
+            for minus, local in zip(runs["oe-bh-boost-minus"], runs["oe-bh-boost-local"]):
+                assert local.rejection_times == minus.rejection_times
+                assert local.kstar_path == minus.kstar_path
+            assert any(run.rejection_times for run in runs["oe-bh-boost-local"])
 
     def test_one_weights_array_per_run_trials_call(self, monkeypatch):
         calls = []
@@ -449,19 +470,28 @@ def test_boosted_runs_equal_their_definition(seed, pi_a, mu_a):
                               seed=seed)
     cache = {}
     runs, _ = run_trials(cfg, list(BOOSTED_VARIANTS), cache=cache)
-    gammas = WeightSequence.geometric(cfg.q).gammas(1, cfg.n)
+    trials = [generate_gaussian_trial(cfg, trial_rng(cfg.seed, i)) for i in range(cfg.m)]
+    cell = simulate._Cell(cfg, trials, cache)
+    gammas = cell.gammas
+    # the harness runs plus and minus boosting as local_plus and local_minus
+    # in one batch of 1..n, at lag 0
+    local = {TruncationVariant.PLUS: TruncationVariant.LOCAL_PLUS,
+             TruncationVariant.MINUS: TruncationVariant.LOCAL_MINUS}
 
-    def local(start, k0):
-        return simulate._local_boost_factors(cfg, start, [k0], gammas, cache)[k0]
+    def batched(start, k0):
+        return cell.boost_factors(TruncationVariant.LOCAL_MINUS, start, cfg.batch_size,
+                                  [k0])[k0]
 
-    for i in range(cfg.m):
-        e = generate_gaussian_trial(cfg, trial_rng(cfg.seed, i)).evalues
+    def whole(variant):
+        return lambda start, k0: cell.boost_factors(local[variant], 0, cfg.n, [0])[0]
+
+    for i, trial in enumerate(trials):
+        e = trial.evalues
         for name, variant in BOOSTED_VARIANTS.items():
             if variant is TruncationVariant.LOCAL_MINUS:
-                factors, batch = local, cfg.batch_size
+                factors, batch = batched, cfg.batch_size
             else:
-                factors, batch = (lambda start, k0, v=variant:
-                                  simulate._boost_factors(cfg, v, gammas, cache)), None
+                factors, batch = whole(variant), None
             times, path = boosted_reference(e, gammas, cfg.alpha, variant, factors, batch)
             assert runs[name][i].rejection_times == times, (name, i)
             assert runs[name][i].kstar_path == path, (name, i)
