@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import ConfigError, InputError, ScoreKind, needs
+from .normal import ndtr
 
 
 class SolverError(RuntimeError):
@@ -30,6 +30,15 @@ class TruncationVariant(Enum):
     PRDS = "prds"                # T_t pointwise; sup-probability criterion
 
 
+def _is_index(value, low: int) -> bool:
+    """Whether value is an integer, numpy's too, of at least low: 2.5, inf
+    and NaN are not, where int() would read 2.5 as 2."""
+    try:
+        return operator.index(value) >= low
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Parameters of a truncation function on the grid {1/(k alpha gamma)}."""
@@ -39,7 +48,7 @@ class TruncationSpec:
     gamma: float
     s: int | None = None          # series cutoff for Plus/Minus/LocalX/PRDS
     lag_kstar: int | None = None  # k*_{t - L_t - 1} for the Local variants
-    d: float | None = None        # decision deadline for Toad
+    d: float | None = None        # decision deadline for Toad: an integer, or inf
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -47,19 +56,21 @@ class TruncationSpec:
         if not 0.0 <= self.gamma < math.inf:
             raise ConfigError(f"gamma={self.gamma} is negative or not finite")
         v = self.variant
-        if v in (TruncationVariant.PLUS, TruncationVariant.MINUS,
-                 TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS):
-            if self.s is None or not self.s >= 1:  # NaN too
-                raise ConfigError(f"{v.value} needs a cutoff s >= 1, got s={self.s}")
+        if self.s is not None or v in (TruncationVariant.PLUS, TruncationVariant.MINUS,
+                                       TruncationVariant.LOCAL_PLUS,
+                                       TruncationVariant.LOCAL_MINUS):
+            if not _is_index(self.s, 1):
+                raise ConfigError(f"{v.value} needs an integer cutoff s >= 1, got s={self.s!r}")
         if v in (TruncationVariant.LOCAL, TruncationVariant.LOCAL_PLUS,
                  TruncationVariant.LOCAL_MINUS):
-            if self.lag_kstar is None or not self.lag_kstar >= 0:  # NaN too
-                raise ConfigError(f"{v.value} needs lag_kstar >= 0, got {self.lag_kstar}")
+            if not _is_index(self.lag_kstar, 0):
+                raise ConfigError(f"{v.value} needs an integer lag_kstar >= 0, "
+                                  f"got lag_kstar={self.lag_kstar!r}")
         elif self.lag_kstar is not None:
             raise ConfigError(f"{v.value} takes no lag_kstar (local variants only)")
-        if v is TruncationVariant.TOAD:
-            if self.d is None or not self.d >= 1:  # NaN too
-                raise ConfigError(f"toad needs a deadline d >= 1, got d={self.d}")
+        if v is TruncationVariant.TOAD and not (self.d == math.inf or _is_index(self.d, 1)):
+            raise ConfigError(f"toad needs an integer deadline d >= 1 or d = inf, "
+                              f"got d={self.d!r}")
 
     @property
     def cutoff_s(self) -> float:
@@ -354,7 +365,10 @@ class BoostCurve:
         """The root of G(v) = y[i] for PRDS in closed form.  G = max_k
         Phi(z_k(v))/k reaches y first where one k with k*y < 1 has
         Phi(z_k(v)) = k*y, so the root is the least such v over k,
-        delta*(ndtri(k*y) + delta/2) - log k; inf where no k has k*y < 1."""
+        delta*(ndtri(k*y) + delta/2) - log k; inf where no k has k*y < 1.
+        Imports scipy.special, which only PRDS needs."""
+        from scipy.special import ndtri
+
         d, ks = self.delta, np.arange(1, self.s + 1, dtype=float)
         out = np.empty(len(y))
         step = max(1, _CHUNK_TERMS // self.s)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import ConfigError, InputError
 from .metrics import GroundTruth, fdp, power
@@ -181,7 +180,10 @@ def expected_truncated_reference(model, spec, b: float) -> float:
     grid value 1/(k ag), capped at 1/((k0+1) ag) for the Local variants;
     the Plus variants add the pass-through term E[bE 1{bE < 1/(s ag)}].
     PRDS instead evaluates the criterion sup_k P(bE >= 1/(k ag)) / (k ag).
+    Its tails are scipy's Phi, independent of the solver's.
     """
+    from scipy.special import ndtr
+
     from .boosting import TruncationVariant as V
 
     if b < 0.0:

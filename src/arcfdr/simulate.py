@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .boosting import BoostTable, GaussianLRModel, TruncationVariant, solve_boost_factors
 from .core import ConfigError, ScoreKind, WeightSequence, needs
 from .e_procedures import ELond, OnlineEBH
 from .metrics import GroundTruth, cell_estimates, rejection_counts
+from .normal import ndtr
 from .p_procedures import (
     Lond,
     Lord,
@@ -74,8 +74,9 @@ class GaussianSetupConfig:
                 f"n={self.n} not divisible by batch_size={self.batch_size}")
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho={self.rho} outside [0, 1)")
-        if not self.mu_a > 0.0:
-            raise ConfigError(f"mu_a={self.mu_a} must be positive")
+        mu = float(self.mu_a)
+        if not (mu > 0.0 and math.isfinite(mu * mu)):  # the e-values read mu_a^2
+            raise ConfigError(f"mu_a={self.mu_a} must be positive with a finite square")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) -> GaussianTrial:
+def _draw(cfg: GaussianSetupConfig, rng: np.random.Generator):
+    """One trial's statistics z and x and its ground truth."""
     n, b = cfg.n, cfg.batch_size
     n_batches = n // b
     # equicorrelated batches by a shared factor: same law as a Cholesky draw
@@ -101,11 +103,20 @@ def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) 
     xi = rng.standard_normal(n)
     z = math.sqrt(cfg.rho) * np.repeat(w, b) + math.sqrt(1.0 - cfg.rho) * xi
     pi = rng.random(n) < cfg.pi_a
-    x = z + cfg.mu_a * pi
+    return z, z + cfg.mu_a * pi, GroundTruth(tuple(bool(v) for v in ~pi))
+
+
+def _score(cfg: GaussianSetupConfig, z: np.ndarray, x: np.ndarray):
+    """The e-values and p-values of statistics of any shape, one trial or a
+    cell's m x n, by one exp and one Phi: each value depends on its own
+    statistic alone, so a trial's scores are the same either way."""
     evalues = np.exp(cfg.mu_a * x - cfg.mu_a ** 2 / 2.0)
-    pvalues = ndtr(-(z if cfg.p_from_z else x))
-    truth = GroundTruth(tuple(bool(v) for v in ~pi))
-    return GaussianTrial(z, x, evalues, pvalues, truth)
+    return evalues, ndtr(-(z if cfg.p_from_z else x))
+
+
+def generate_gaussian_trial(cfg: GaussianSetupConfig, rng: np.random.Generator) -> GaussianTrial:
+    z, x, truth = _draw(cfg, rng)
+    return GaussianTrial(z, x, *_score(cfg, z, x), truth)
 
 
 @dataclass
@@ -140,16 +151,16 @@ _STREAM_RULES = {"lord": lambda w, cfg: Lord(w, cfg.alpha),
 
 
 class _Cell:
-    """The m trials of one configuration, as 2-D arrays of scores (one row
+    """The m trials of one configuration, as m x n arrays of scores (one row
     per trial), with the configuration's one weight sequence and one array
     of its weights gamma_1..gamma_n."""
 
-    def __init__(self, cfg: GaussianSetupConfig, trials, cache: dict):
+    def __init__(self, cfg: GaussianSetupConfig, evalues: np.ndarray,
+                 pvalues: np.ndarray, cache: dict):
         self.cfg, self.cache = cfg, cache
         self.weights = WeightSequence.geometric(cfg.q)
         self.gammas = self.weights.gammas(1, cfg.n)
-        self.evalues = np.array([tr.evalues for tr in trials])
-        self.pvalues = np.array([tr.pvalues for tr in trials])
+        self.evalues, self.pvalues = evalues, pvalues
         self._needs = {}
 
     def needs(self, key: str) -> np.ndarray:
@@ -251,8 +262,9 @@ def _run_boosted(cell: _Cell, variant: TruncationVariant, batched: bool) -> list
 def run_trials(cfg: GaussianSetupConfig, procedures, cache: dict | None = None):
     """Run each procedure on m freshly generated trials.
 
-    The cell's trials are generated first, each on its own substream, and
-    then each procedure runs over all of them.  Returns (runs, truths):
+    The cell's trials are drawn first, each on its own substream, and
+    scored together; then each procedure runs over all of them.  Returns
+    (runs, truths):
     runs[name][i] is the ProcedureRun of trial i, truths[i] its ground truth.
     Boost factors are memoized in ``cache``, or in one dict for the whole
     call when none is passed.
@@ -262,12 +274,10 @@ def run_trials(cfg: GaussianSetupConfig, procedures, cache: dict | None = None):
     unknown = [p for p in procedures if p not in ALL_PROCEDURES]
     if unknown:
         raise ConfigError(f"unknown procedures: {unknown}")
-    trials = [generate_gaussian_trial(cfg, trial_rng(cfg.seed, i)) for i in range(cfg.m)]
-    cell = _Cell(cfg, trials, cache)
-    truths = [trial.truth for trial in trials]
-    del trials  # the cell holds the scores
+    z, x, truths = zip(*(_draw(cfg, trial_rng(cfg.seed, i)) for i in range(cfg.m)))
+    cell = _Cell(cfg, *_score(cfg, np.array(z), np.array(x)), cache)
     runs = {name: _run_procedure(name, cell) for name in procedures}
-    return runs, truths
+    return runs, list(truths)
 
 
 def run_experiment(cfg: GaussianSetupConfig, procedures, pi_as=None,

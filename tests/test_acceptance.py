@@ -77,10 +77,10 @@ def solver_cache():
 
 @pytest.fixture(scope="module")
 def s6_default():
-    """The default batch-correlated setup, base procedures only."""
+    """The default batch-correlated setup, procedures without boosting."""
     cfg = GaussianSetupConfig()  # n=1000, m=100, mu=3.5, b=20, q=0.99, a=0.05
     t0 = time.perf_counter()
-    runs, truths = run_trials(cfg, ["oe-bh", "e-lond", "obh", "lond"])
+    runs, truths = run_trials(cfg, ["oe-bh", "e-lond", "obh", "lond", "obr", "r-lond"])
     return cfg, runs, truths, time.perf_counter() - t0
 
 
@@ -229,9 +229,11 @@ def test_criterion_5_fdr_bounds(s6_default, s6_independent):
     e_est = estimates(runs["oe-bh"], truths)
     p_est = estimates(runs_ind["obh"], truths_ind)
     # the rest of the default run: the batch-correlated setup is PRDS, and
-    # e-LOND holds under arbitrary dependence
+    # e-LOND, and oBR and r-LOND with their BY shape, hold under arbitrary
+    # dependence
     dep_est = [(label, estimates(runs[name], truths))
-               for label, name in (("oBH", "obh"), ("e-LOND", "e-lond"), ("LOND", "lond"))]
+               for label, name in (("oBH", "obh"), ("e-LOND", "e-lond"), ("LOND", "lond"),
+                                   ("oBR", "obr"), ("r-LOND", "r-lond"))]
     e_mean, e_se = e_est[0]["sup_fdr"]
     p_mean, p_se = p_est[0]["sup_fdr"]
     e_bound = 0.05

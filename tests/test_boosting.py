@@ -128,6 +128,26 @@ class TestTruncate:
         with pytest.raises(ConfigError, match=f"{field} >= .*nan"):
             spec(variant, **{field: math.nan})
 
+    # int() read 2.5 as 2, so the solver solved another spec than truncate
+    # applied, and an infinite s acted as no cutoff in truncate
+    @pytest.mark.parametrize("variant, field, value", [
+        (TruncationVariant.MINUS, "s", math.inf),
+        (TruncationVariant.MINUS, "s", 2.5),
+        (TruncationVariant.LOCAL_MINUS, "lag_kstar", 2.5),
+        (TruncationVariant.TOAD, "d", 2.5),
+    ])
+    def test_field_that_is_not_an_integer_refused(self, variant, field, value):
+        kw = {"s": 10, "lag_kstar": 3} if variant is TruncationVariant.LOCAL_MINUS else {}
+        with pytest.raises(ConfigError, match=f"integer .*{field}={value}"):
+            spec(variant, **{**kw, field: value})
+
+    def test_integer_fields_of_numpy_and_an_infinite_deadline(self):
+        local = spec(TruncationVariant.LOCAL_MINUS, s=np.int64(10), lag_kstar=np.int64(3))
+        assert truncate(local, 1e9) == truncate(spec(TruncationVariant.LOCAL_MINUS,
+                                                     s=10, lag_kstar=3), 1e9)
+        toad = spec(TruncationVariant.TOAD, d=math.inf)
+        assert truncate(toad, 1e-9) == truncate(spec(TruncationVariant.FULL), 1e-9)
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):
         with pytest.raises(ConfigError, match="gamma"):

@@ -240,6 +240,14 @@ class TestSimulateCsv:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    # inf * False is NaN in the scores, and 1e200 ** 2 overflows
+    @pytest.mark.parametrize("mu_a", ["inf", "1e200"])
+    def test_mu_a_whose_square_is_not_finite_exits_2(self, mu_a):
+        status, out, err = run_cli(["simulate", "--mu-a", mu_a, "--n", "20",
+                                    "--m", "2", "--pi-a", "0.5"])
+        assert status == 2 and out == ""
+        assert err.startswith(f"error: mu_a={float(mu_a)}") and len(err.splitlines()) == 1
+
     def test_unknown_procedure_fails(self):
         status, _, err = run_cli(["simulate", "--procedures", "nope",
                                   "--n", "100", "--m", "2"])

@@ -471,7 +471,8 @@ def test_boosted_runs_equal_their_definition(seed, pi_a, mu_a):
     cache = {}
     runs, _ = run_trials(cfg, list(BOOSTED_VARIANTS), cache=cache)
     trials = [generate_gaussian_trial(cfg, trial_rng(cfg.seed, i)) for i in range(cfg.m)]
-    cell = simulate._Cell(cfg, trials, cache)
+    cell = simulate._Cell(cfg, np.array([tr.evalues for tr in trials]),
+                          np.array([tr.pvalues for tr in trials]), cache)
     gammas = cell.gammas
     # the harness runs plus and minus boosting as local_plus and local_minus
     # in one batch of 1..n, at lag 0
