@@ -30,13 +30,32 @@ class TruncationVariant(Enum):
     PRDS = "prds"                # T_t pointwise; sup-probability criterion
 
 
-def _is_index(value, low: int) -> bool:
-    """Whether value is an integer, numpy's too, of at least low: 2.5, inf
-    and NaN are not, where int() would read 2.5 as 2."""
+def _integer(variant: TruncationVariant, name: str, value, low=1, what="") -> int:
+    """value as an int >= low, numpy's integers too; a ConfigError naming the
+    field otherwise: 2.5, inf and NaN are not, where int() read 2.5 as 2."""
     try:
-        return operator.index(value) >= low
+        value = operator.index(value)
     except TypeError:
-        return False
+        raise ConfigError(f"{variant.value} needs {name} >= {low} and an integer "
+                          f"{what}{name}, got {name}={value!r}") from None
+    if value < low:
+        raise ConfigError(f"{variant.value} needs a {what}{name} >= {low}, got {name}={value}")
+    return value
+
+
+def _lags(variant: TruncationVariant, lag_kstar, per_target: bool = True) -> np.ndarray:
+    """The lags k0 >= 0 as int64, one for all targets or one per target (a
+    spec takes one): required on the local variants, refused on the others,
+    which read k0 = 0.  A scalar is read as s is; an array must be of integers."""
+    if variant not in (TruncationVariant.LOCAL, TruncationVariant.LOCAL_PLUS,
+                       TruncationVariant.LOCAL_MINUS):
+        if lag_kstar is not None:
+            raise ConfigError(f"{variant.value} takes no lag_kstar (local variants only)")
+        return np.zeros(1, dtype=np.int64)
+    k0 = np.asarray(lag_kstar)
+    if per_target and k0.ndim and k0.dtype.kind in "iu" and np.all(k0 >= 0):
+        return k0.astype(np.int64)
+    return np.array([_integer(variant, "lag_kstar", lag_kstar, 0)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,18 +78,10 @@ class TruncationSpec:
         if self.s is not None or v in (TruncationVariant.PLUS, TruncationVariant.MINUS,
                                        TruncationVariant.LOCAL_PLUS,
                                        TruncationVariant.LOCAL_MINUS):
-            if not _is_index(self.s, 1):
-                raise ConfigError(f"{v.value} needs an integer cutoff s >= 1, got s={self.s!r}")
-        if v in (TruncationVariant.LOCAL, TruncationVariant.LOCAL_PLUS,
-                 TruncationVariant.LOCAL_MINUS):
-            if not _is_index(self.lag_kstar, 0):
-                raise ConfigError(f"{v.value} needs an integer lag_kstar >= 0, "
-                                  f"got lag_kstar={self.lag_kstar!r}")
-        elif self.lag_kstar is not None:
-            raise ConfigError(f"{v.value} takes no lag_kstar (local variants only)")
-        if v is TruncationVariant.TOAD and not (self.d == math.inf or _is_index(self.d, 1)):
-            raise ConfigError(f"toad needs an integer deadline d >= 1 or d = inf, "
-                              f"got d={self.d!r}")
+            _integer(v, "s", self.s, what="cutoff ")
+        _lags(v, self.lag_kstar, per_target=False)
+        if v is TruncationVariant.TOAD and self.d != math.inf:
+            _integer(v, "d", self.d, what="deadline ")
 
     @property
     def cutoff_s(self) -> float:
@@ -262,24 +273,14 @@ class BoostCurve:
                  lag_kstar=None):
         if variant in (TruncationVariant.FULL, TruncationVariant.LOCAL):
             raise ConfigError(f"no closed form for variant {variant.value}")
-        try:  # any integer, numpy's too, but not 2.5 read as 2
-            s = operator.index(s)
-        except TypeError:
-            raise ConfigError(f"{variant.value} needs an integer cutoff s, got s={s!r}") from None
-        if s < 1:
-            raise ConfigError(f"{variant.value} needs a cutoff s >= 1, got s={s}")
-        local = variant in (TruncationVariant.LOCAL_PLUS, TruncationVariant.LOCAL_MINUS)
-        if not local and lag_kstar is not None:
-            raise ConfigError(f"{variant.value} takes no lag_kstar (local variants only)")
-        if not local:
-            k0 = np.zeros(1, dtype=np.int64)
-        elif lag_kstar is None or np.any(np.asarray(lag_kstar) < 0):
-            raise ConfigError(f"{variant.value} needs lag_kstar >= 0")
-        else:
-            k0 = np.atleast_1d(np.asarray(lag_kstar, dtype=np.int64))
+        if s == math.inf:  # a spec's cutoff_s without s or at d = inf
+            raise ConfigError(f"no closed form for variant {variant.value} without a cutoff: "
+                              f"needs an integer cutoff s, got s={s}")
+        s = _integer(variant, "s", s, what="cutoff ")
+        k0 = _lags(variant, lag_kstar)
         if variant is TruncationVariant.LOCAL_PLUS and np.any(k0 + 1 > s):
             raise ConfigError("local_plus needs s >= lag_kstar + 1")
-        self.delta, self.s = delta, s
+        self.variant, self.delta, self.s = variant, delta, s
         self.prds = variant is TruncationVariant.PRDS
         self.plus = variant in (TruncationVariant.PLUS, TruncationVariant.LOCAL_PLUS)
         # the distinct lags, and the one of each target (or one for all)
@@ -441,19 +442,27 @@ def _brackets(curve: BoostCurve, table: BoostTable, c, y):
     return j, grid
 
 
+def _failure(curve: BoostCurve, y, failed, what: str) -> SolverError:
+    """SolverError on the curve naming the first failed target's place in y, alpha*gamma and lag."""
+    i = int(failed[0])
+    k0 = curve.lags[curve.column[i if len(curve.column) > 1 else 0]]
+    return SolverError(f"{what} for {curve.variant.value} at s={curve.s}: target {i + 1} "
+                       f"of {len(y)}, alpha*gamma={y[i]:.6g}, lag_kstar={k0}")
+
+
 def _polish(curve: BoostCurve, y, ly, v_top, which, top, below, start, first, b_max):
     """Roots of G(v) = y by a safeguarded Newton iteration in log G on exact
     evaluations of G, all pending targets at once, in [below, top] clipped
     to [log y, log(y b_max)], from start, or from log y where first, so that
-    one evaluation also settles E_null[T(E)] >= 1; which are the targets'
-    indices on the curve.  Returns each root at the last point its G was
-    evaluated, and the residual G/y - 1 there (0 at b = 1)."""
+    one evaluation also settles E_null[T(E)] >= 1; y, ly and v_top are the
+    call's, and which the indices of the targets to polish.  Returns each
+    root at the last point its G was evaluated, and G/y - 1 there (0 at b = 1)."""
+    clipped = which[top > v_top[which]]
+    g_top, _ = curve(v_top[clipped], clipped)
+    if np.any(g_top < y[clipped]):
+        raise _failure(curve, y, clipped[g_top < y[clipped]], f"no root in [1, {b_max}]")
+    y, ly, v_top = y[which], ly[which], v_top[which]
     hi = np.clip(top, ly, v_top)
-    clipped = np.flatnonzero(top > v_top)
-    if len(clipped):
-        g_top, _ = curve(v_top[clipped], which[clipped])
-        if np.any(g_top < y[clipped]):
-            raise SolverError(f"no root in [1, {b_max}]")
     lo = np.where(first, ly, below)
     v = np.where(first, ly, np.clip(start, lo, hi))
     v_out, g_out = np.empty(len(y)), np.empty(len(y))
@@ -505,16 +514,17 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     reaches the target below b_max.  PRDS has its root in closed form,
     needs no table, and takes one exact evaluation, for the residual check.
     b_t = 1 where E_null[T_t(E)] >= 1 already.  A target's factor does not
-    depend on which other targets or lags share the call, nor on the rows
-    left on the table by earlier calls.  Raises ConfigError for a
-    non-finite weight, a cutoff s that is not an integer >= 1 or a lag on
-    a variant that is not local, and SolverError for a zero weight, for no
-    root in [1, b_max], or for a residual |E_null[T_t(b_t E)] - 1| above
-    1e-6: for a factor from the interpolant, |p - y|/y plus the bound, else
-    from the last exact evaluation.  The former is at most about 1e-9, so it
-    checks p against its own bound only: that the table's rows and p are G
-    and its interpolant rests on the tests against bisection on exact
-    evaluations.
+    depend on which other targets or lags share the call, nor on the rows left
+    on the table by earlier calls.  Raises ConfigError for a non-finite
+    weight, a cutoff s that is not an integer >= 1, a lag that is not an
+    integer >= 0 or a lag on a variant that is not local; and SolverError,
+    naming the variant, s and the first failing target's position, alpha*gamma
+    and lag, for a zero weight, for no root in [1, b_max], or for a residual
+    |E_null[T_t(b_t E)] - 1| above 1e-6: for a factor from the interpolant,
+    |p - y|/y plus the bound, else from the last exact evaluation.  The former
+    is at most about 1e-9, so it checks p against its own bound only: that the
+    table's rows and p are G and its interpolant rests on the tests against
+    bisection on exact evaluations.
     """
     if b_max < 1.0:
         raise ConfigError(f"b_max={b_max} is below 1")
@@ -525,7 +535,8 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
     if not np.all(np.isfinite(y)):
         raise ConfigError("weights must be finite")
     if np.any(y <= 0.0):
-        raise SolverError("gamma = 0: truncation is identically 0, no root")
+        raise _failure(curve, y, np.flatnonzero(y <= 0.0),
+                       "gamma = 0: truncation is identically 0, no root")
     if not len(y):
         return np.empty(0)
     ly = np.log(y)
@@ -559,8 +570,9 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         # b = 1 where a row at or below log y reaches y; no root where none
         # up to a row at or above log(y b_max) does
         at_one = (j == 0) | (top <= ly)
-        if np.any((j == len(table.v)) | (~at_one & (v_top <= below))):
-            raise SolverError(f"no root in [1, {b_max}]")
+        no_root = np.flatnonzero((j == len(table.v)) | (~at_one & (v_top <= below)))
+        if len(no_root):
+            raise _failure(curve, y, no_root, f"no root in [1, {b_max}]")
         cell = np.flatnonzero(~at_one)
         jc, cc = j[cell], c[cell]
         coef = _hermite(grid[jc - 1, :, cc].T, grid[jc, :, cc].T)
@@ -588,23 +600,15 @@ def solve_boost_factors(model: GaussianLRModel, variant: TruncationVariant,
         top, below, start = top[exact], below[exact], start[exact_cell]
         first = below < ly[exact]
     if len(exact):
-        v[exact], residual[exact] = _polish(curve, y[exact], ly[exact], v_top[exact], exact,
+        v[exact], residual[exact] = _polish(curve, y, ly, v_top, exact,
                                             top, below, start, first, b_max)
 
     b = np.exp(v - ly)
-    worst = int(np.argmax(np.abs(residual)))
-    if not abs(residual[worst]) <= _RESIDUAL_MAX:
-        raise SolverError(f"residual {residual[worst]:.3e} exceeds "
-                          f"{_RESIDUAL_MAX} at b={b[worst]}")
+    failed = np.flatnonzero(~(np.abs(residual) <= _RESIDUAL_MAX))
+    if len(failed):
+        raise _failure(curve, y, failed, f"residual {residual[failed[0]]:.3e} exceeds "
+                                         f"{_RESIDUAL_MAX} at b={b[failed[0]]}")
     return b
-
-
-def _curve_args(spec: TruncationSpec):
-    """The (variant, s, lag) of the BoostCurve of a spec with a cutoff."""
-    s = spec.cutoff_s
-    if not math.isfinite(s):
-        raise ConfigError(f"no closed form for variant {spec.variant.value} without a cutoff")
-    return spec.variant, int(s), spec.lag_kstar
 
 
 def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: float) -> float:
@@ -619,10 +623,10 @@ def expected_truncated_value(model: GaussianLRModel, spec: TruncationSpec, b: fl
     ag = spec.alpha * spec.gamma
     if ag == 0.0 or b == 0.0:
         return 0.0
-    variant, s, lag = _curve_args(spec)
+    curve = BoostCurve(model.delta, spec.variant, spec.cutoff_s, spec.lag_kstar)
     if b == math.inf:
         return truncate(spec, math.inf)
-    g, _ = BoostCurve(model.delta, variant, s, lag)(np.array([math.log(ag) + math.log(b)]))
+    g, _ = curve(np.array([math.log(ag) + math.log(b)]))
     return float(g[0]) / ag
 
 
@@ -634,10 +638,8 @@ def solve_boost_factor(model: GaussianLRModel, spec: TruncationSpec,
     already, SolverError for gamma = 0, for no root in [1, b_max] or for a
     residual above 1e-6.
     """
-    variant, s, lag = _curve_args(spec)
-    b = solve_boost_factors(model, variant, spec.alpha, [spec.gamma], s,
-                            lag_kstar=lag, b_max=b_max)
-    return float(b[0])
+    return float(solve_boost_factors(model, spec.variant, spec.alpha, [spec.gamma], spec.cutoff_s,
+                                     lag_kstar=spec.lag_kstar, b_max=b_max)[0])
 
 
 class NonincreasingTransform:
@@ -770,14 +772,12 @@ def check_transform_condition(psi: NonincreasingTransform, alpha: float, gamma: 
         return TransformConditionResult(None, sup, tail, mode)
 
     if mode == "toad":
-        if d is None or not 1 <= d < math.inf:  # NaN too
+        if d is None or d == math.inf:
             raise ConfigError(f"toad mode needs a deadline 1 <= d < inf, got d={d}"
                               " (d = inf is the arbitrary mode)")
-        k_top = int(d)
-        exact = True  # the series terminates at the deadline
+        k_top = _integer(TruncationVariant.TOAD, "d", d, what="deadline ")
     elif mode == "arbitrary":
         k_top = k_max
-        exact = False
     else:
         raise ConfigError(f"unknown mode {mode!r}")
 
@@ -787,10 +787,9 @@ def check_transform_condition(psi: NonincreasingTransform, alpha: float, gamma: 
         cur = psi.psi_inverse(x(k))
         total += x(k) * (cur - prev)
         prev = cur
-    if exact:
-        tail = 0.0
-    else:
-        tail = x(k_top + 1) * (1.0 - prev)  # remaining increments sum to <= 1 - prev
+    # the toad series terminates at the deadline; the arbitrary one's
+    # remaining increments sum to at most 1 - prev
+    tail = 0.0 if mode == "toad" else x(k_top + 1) * (1.0 - prev)
     if total > 1.0:
         return TransformConditionResult(False, total, tail, mode)
     if total + tail <= 1.0:

@@ -9,6 +9,7 @@ rejection counts alone.  Power is the expected proportion of non-nulls rejected.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -59,6 +60,18 @@ class GroundTruth:
     @property
     def n_nonnulls(self) -> int:
         return len(self.labels) - self.n_nulls
+
+
+def _count(name: str, value) -> int:
+    """value as an int >= 1, numpy's integers too; an InputError naming the
+    field otherwise: 2.5 and NaN are not integers."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name}={value!r} must be an integer") from None
+    if value < 1:
+        raise InputError(f"{name}={value} must be >= 1")
+    return value
 
 
 def _indices(rejections):
@@ -125,8 +138,8 @@ def cell_estimates(rejection_times, nulls: np.ndarray, K: int | None = None,
         raise InputError(f"{len(rejection_times)} runs for {m} null masks")
     if m < 2:
         raise InputError("need at least 2 trials for standard errors")
-    if K is not None and K < 1:
-        raise InputError(f"K={K} must be >= 1")
+    if K is not None:
+        K = _count("K", K)
     sizes = np.fromiter(map(len, rejection_times), dtype=np.int64, count=m)
     total = int(sizes.sum())
     indices = np.fromiter(chain.from_iterable(rejection_times), dtype=np.int64,
@@ -172,16 +185,14 @@ class StoppingRule:
 
     @classmethod
     def fixed_time(cls, T: int) -> "StoppingRule":
-        if T < 1:
-            raise InputError(f"T={T} must be >= 1")
+        T = _count("T", T)
         return cls(lambda counts: np.full(len(counts), min(T, counts.shape[1])),
                    f"fixed_time({T})")
 
     @classmethod
     def time_of_jth_rejection(cls, j: int) -> "StoppingRule":
         """First t with |R_t| >= j; the horizon if never reached."""
-        if j < 1:
-            raise InputError(f"j={j} must be >= 1")
+        j = _count("j", j)
 
         def fn(counts):
             hit = counts >= j

@@ -76,11 +76,13 @@ def solver_cache():
 
 
 @pytest.fixture(scope="module")
-def s6_default():
-    """The default batch-correlated setup, procedures without boosting."""
+def s6_default(solver_cache):
+    """The default batch-correlated setup, the boosted runs too."""
     cfg = GaussianSetupConfig()  # n=1000, m=100, mu=3.5, b=20, q=0.99, a=0.05
     t0 = time.perf_counter()
-    runs, truths = run_trials(cfg, ["oe-bh", "e-lond", "obh", "lond", "obr", "r-lond"])
+    runs, truths = run_trials(cfg, ["oe-bh", "e-lond", "obh", "lond", "obr", "r-lond",
+                                    "oe-bh-boost", "oe-bh-boost-minus", "oe-bh-boost-local"],
+                              cache=solver_cache)
     return cfg, runs, truths, time.perf_counter() - t0
 
 
@@ -89,7 +91,7 @@ def s6_independent():
     """Same setup with batch size 1: independent p-values."""
     cfg = GaussianSetupConfig(batch_size=1)
     t0 = time.perf_counter()
-    runs, truths = run_trials(cfg, ["obh"])
+    runs, truths = run_trials(cfg, ["obh", "osbh", "lord", "saffron"])
     return cfg, runs, truths, time.perf_counter() - t0
 
 
@@ -229,17 +231,23 @@ def test_criterion_5_fdr_bounds(s6_default, s6_independent):
     e_est = estimates(runs["oe-bh"], truths)
     p_est = estimates(runs_ind["obh"], truths_ind)
     # the rest of the default run: the batch-correlated setup is PRDS, and
-    # e-LOND, and oBR and r-LOND with their BY shape, hold under arbitrary
-    # dependence
+    # e-LOND, the boosted runs (valid e-values), and oBR and r-LOND with
+    # their BY shape, hold under arbitrary dependence
     dep_est = [(label, estimates(runs[name], truths))
                for label, name in (("oBH", "obh"), ("e-LOND", "e-lond"), ("LOND", "lond"),
-                                   ("oBR", "obr"), ("r-LOND", "r-lond"))]
+                                   ("oBR", "obr"), ("r-LOND", "r-lond"),
+                                   ("plus-boost", "oe-bh-boost"),
+                                   ("minus-boost", "oe-bh-boost-minus"),
+                                   ("boost-local", "oe-bh-boost-local"))]
+    # Storey-BH, LORD and SAFFRON need independence: the batch-1 run
+    ind_est = [(f"{label}, indep", estimates(runs_ind[name], truths_ind))
+               for label, name in (("oSBH", "osbh"), ("LORD", "lord"), ("SAFFRON", "saffron"))]
     e_mean, e_se = e_est[0]["sup_fdr"]
     p_mean, p_se = p_est[0]["sup_fdr"]
     e_bound = 0.05
     p_bound = 0.05 * (1.0 + math.log(20.0))
     stops = [(label, j, *est["stop_fdr"])
-             for label, ests in (("oe-BH", e_est), *dep_est, ("oBH, indep", p_est))
+             for label, ests in (("oe-BH", e_est), *dep_est, ("oBH, indep", p_est), *ind_est)
              for j, est in zip((10, 20), ests)]
     elapsed = t_dep + t_ind
     ok = (e_mean <= e_bound + 3 * e_se and p_mean <= p_bound + 3 * p_se

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from arcfdr import boosting
 from arcfdr.boosting import (
     B_MAX,
     BoostCurve,
@@ -446,9 +447,60 @@ class TestSolverProperties:
             assert solve_boost_factors(*args, [0.1], 5, lag_kstar=k0, b_max=10.0) > 1.0
         with pytest.raises(SolverError):
             solve_boost_factors(*args, [0.1], 5, lag_kstar=9, b_max=10.0)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match=r"local_minus at s=5: target 2 of 3, "
+                                              r"alpha\*gamma=0.1, lag_kstar=9$"):
             solve_boost_factors(*args, [0.1, 0.1, 0.1], 5, lag_kstar=[0, 9, 4],
                                 b_max=10.0)
+
+    def test_errors_name_the_first_failing_target(self, monkeypatch):
+        # every SolverError names the curve and the first failing target:
+        # a zero weight; no root from the bracket; no root from the exact
+        # evaluation at log(y b_max), a little below target 2's factor; and
+        # a residual above its limit (target 1 is at b = 1, residual 0)
+        model, minus = GaussianLRModel(3.0), TruncationVariant.MINUS
+        with pytest.raises(SolverError, match=r"no root for minus at s=100: target 2 of 3, "
+                                              r"alpha\*gamma=0, lag_kstar=0$"):
+            solve_boost_factors(model, minus, ALPHA, [GAMMA, 0.0, 0.0], 100)
+        with pytest.raises(SolverError, match=r"^no root in \[1, 10.0\] for minus at s=5: "
+                                              r"target 1 of 1, alpha\*gamma=0.0005, "):
+            solve_boost_factor(GaussianLRModel(0.5), spec(minus, s=5), b_max=10.0)
+        gammas = [0.01, 1e-3, 0.02]
+        b = solve_boost_factors(model, minus, ALPHA, gammas, 100)
+        with pytest.raises(SolverError, match=r"for minus at s=100: target 2 of 3, "
+                                              r"alpha\*gamma=5e-05, lag_kstar=0$") as err:
+            solve_boost_factors(model, minus, ALPHA, gammas, 100, b_max=b[1] * (1 - 1e-7))
+        assert err.traceback[-1].name == "_polish"
+        monkeypatch.setattr(boosting, "_RESIDUAL_MAX", 0.0)
+        with pytest.raises(SolverError, match=r"^residual .* for local_plus at s=5: target 2 "
+                                              r"of 2, alpha\*gamma=0.0005, lag_kstar=2$"):
+            solve_boost_factors(GaussianLRModel(1.0), TruncationVariant.LOCAL_PLUS, ALPHA,
+                                [1e-9, 0.01], 5, lag_kstar=[0, 2])
+
+    # a lag that is not an integer >= 0 was read by int64 casting in the
+    # solver: 2.5 solved at lag 2, and NaN and inf raised ValueError and
+    # OverflowError, where the spec refused them
+    @pytest.mark.parametrize("variant", [TruncationVariant.LOCAL_MINUS,
+                                         TruncationVariant.LOCAL_PLUS])
+    @pytest.mark.parametrize("lag", [2.5, math.nan, math.inf, -1, [1, 2.0], None])
+    def test_lag_is_an_integer_everywhere(self, variant, lag):
+        with pytest.raises(ConfigError, match="lag_kstar"):
+            TruncationSpec(variant, ALPHA, GAMMA, s=100, lag_kstar=lag)
+        with pytest.raises(ConfigError, match="lag_kstar"):
+            BoostCurve(3.0, variant, 100, lag)
+        with pytest.raises(ConfigError, match="lag_kstar"):
+            solve_boost_factors(GaussianLRModel(3.0), variant, ALPHA, [GAMMA, GAMMA], 100,
+                                lag_kstar=lag)
+
+    def test_lags_of_numpy_and_integer_arrays(self):
+        model, variant = GaussianLRModel(3.0), TruncationVariant.LOCAL_MINUS
+        want = solve_boost_factors(model, variant, ALPHA, [GAMMA, GAMMA], 100, lag_kstar=2)
+        for lag in (np.int64(2), np.array(2), [2, 2], np.array([2, 2], dtype=np.uint8)):
+            np.testing.assert_array_equal(
+                solve_boost_factors(model, variant, ALPHA, [GAMMA, GAMMA], 100, lag_kstar=lag),
+                want)
+        # a spec is one target: one lag, not a list of one
+        with pytest.raises(ConfigError, match="integer lag_kstar"):
+            TruncationSpec(variant, ALPHA, GAMMA, s=100, lag_kstar=[2])
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_weights(self, gamma):
@@ -740,6 +792,12 @@ class TestTransforms:
             check_transform_condition(psi, ALPHA, 0.0)
         with pytest.raises(ConfigError, match="toad mode needs a deadline"):
             check_transform_condition(psi, ALPHA, GAMMA, mode="toad")
+
+    def test_toad_mode_refuses_a_deadline_that_is_not_an_integer(self):
+        # int(d) read 2.5 as 2
+        with pytest.raises(ConfigError, match="integer deadline d, got d=2.5"):
+            check_transform_condition(NonincreasingTransform.reciprocal(), ALPHA, GAMMA,
+                                      mode="toad", d=2.5)
 
     @pytest.mark.parametrize("d", [math.inf, math.nan])
     def test_toad_mode_refuses_a_deadline_that_is_not_finite(self, d):

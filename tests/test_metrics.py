@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,24 @@ class TestStoppingRule:
         with pytest.raises(InputError, match="j=0"):
             StoppingRule.time_of_jth_rejection(0)
 
+    # T = 2.5 was built and failed later as an array index, j = NaN never
+    # stopped a run (counts >= nan is never true) and j = 2.5 acted as 3
+    @pytest.mark.parametrize("value", [2.5, math.nan])
+    def test_fixed_time_needs_an_integer(self, value):
+        with pytest.raises(InputError, match=f"T={value} must be an integer"):
+            StoppingRule.fixed_time(value)
+
+    @pytest.mark.parametrize("value", [2.5, math.nan])
+    def test_jth_rejection_needs_an_integer(self, value):
+        with pytest.raises(InputError, match=f"j={value} must be an integer"):
+            StoppingRule.time_of_jth_rejection(value)
+
+    def test_numpy_integers(self):
+        counts = [[0, 1, 1, 2, 3], [2, 2, 2, 2, 2]]
+        assert (StoppingRule.time_of_jth_rejection(np.int64(2)).stop_times(counts).tolist()
+                == StoppingRule.time_of_jth_rejection(2).stop_times(counts).tolist())
+        assert StoppingRule.fixed_time(np.int32(3)).stop_times(counts).tolist() == [3, 3]
+
 
 class TestCellEstimates:
     def runs(self, m=6, n=30, seed=0):
@@ -223,3 +243,12 @@ class TestCellEstimates:
         for K in (0, -1):
             with pytest.raises(InputError, match=f"K={K} must be >= 1"):
                 cell_estimates(times, nulls, K=K)
+
+    @pytest.mark.parametrize("K", [2.5, math.nan])
+    def test_K_needs_an_integer(self, K):
+        # K = 2.5 and NaN raised a TypeError from the slice
+        times, nulls = self.runs()
+        with pytest.raises(InputError, match=f"K={K} must be an integer"):
+            cell_estimates(times, nulls, K=K)
+        assert (cell_estimates(times, nulls, K=np.int64(5))
+                == cell_estimates(times, nulls, K=5))
